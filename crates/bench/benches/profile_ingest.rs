@@ -7,17 +7,17 @@
 //! measures
 //!
 //! * `codec/encode` and `codec/decode` — the wire format alone;
-//! * `aggregate/shards=N/serial` — one thread ingesting every frame
-//!   into an aggregator with N ∈ {1, 4, 8} shards;
-//! * `aggregate/shards=N/streaming` — the server's zero-copy path:
-//!   encoded frames fold straight into the shards via
+//! * `aggregate/shards=N/streaming` — one thread ingesting every frame
+//!   into an aggregator with N ∈ {1, 4, 8} shards through the one ingest
+//!   path: encoded frames fold straight into the shards via
 //!   `ingest_frame_bytes` with a pooled partition scratch;
-//! * `aggregate/shards=N/threads=4` — four pusher threads splitting the
-//!   frames, where shard count governs lock contention;
+//! * `aggregate/shards=N/threads=4` — the same path driven by four
+//!   pusher threads splitting the frames, one scratch each, where shard
+//!   count governs lock contention;
 //! * `pull/rebuild` — a merged-snapshot pull whose cache was just
 //!   invalidated (epoch advance), i.e. the full lock-merge-encode cost;
 //! * `pull/cached` — the same pull against a warm generation-stamped
-//!   cache (the repeated-`OP_PULL` fast path, O(1) per request);
+//!   cache (the repeated-pull fast path, O(1) per request);
 //! * `wal/append` — the durable-store write path (4 shards, WAL append
 //!   then apply, fsync off — the async-fsync configuration whose cost
 //!   must stay within 2× of `aggregate/shards=4/streaming`);
@@ -38,7 +38,7 @@ use cbs_bench::{smoke_mode, BenchGroup, BenchResult};
 use cbs_core::bytecode::{CallSiteId, MethodId};
 use cbs_core::dcg::CallEdge;
 use cbs_core::profiled::{
-    AggregatorConfig, DcgCodec, DcgFrame, IngestScratch, ProfileJournal, ShardedAggregator,
+    AggregatorConfig, DcgCodec, IngestScratch, ProfileJournal, ShardedAggregator,
 };
 use cbs_core::store::{FsyncPolicy, GroupCommitConfig, ProfileStore, StoreConfig};
 use std::path::PathBuf;
@@ -112,10 +112,6 @@ fn main() {
         .chunks(records.len().div_ceil(FRAMES))
         .map(DcgCodec::encode_delta)
         .collect();
-    let decoded: Vec<DcgFrame> = frames
-        .iter()
-        .map(|f| DcgCodec::decode(f).expect("own encoding decodes"))
-        .collect();
     let wire_bytes: usize = frames.iter().map(Vec::len).sum();
     eprintln!(
         "profile_ingest: {EDGES} records, {FRAMES} frames, {wire_bytes} wire bytes \
@@ -147,21 +143,6 @@ fn main() {
     entries.push(json_entry("codec/decode", EDGES, &decode));
 
     for shards in [1usize, 4, 8] {
-        let serial = group
-            .bench(&format!("aggregate/shards={shards}/serial"), || {
-                let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-                for frame in &decoded {
-                    agg.ingest(frame);
-                }
-                agg.stats().records
-            })
-            .clone();
-        entries.push(json_entry(
-            &format!("aggregate/shards={shards}/serial"),
-            EDGES,
-            &serial,
-        ));
-
         let streaming = group
             .bench(&format!("aggregate/shards={shards}/streaming"), || {
                 let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
@@ -186,10 +167,12 @@ fn main() {
                     let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
                     std::thread::scope(|scope| {
                         let agg = &agg;
-                        for chunk in decoded.chunks(decoded.len().div_ceil(PUSHERS)) {
+                        for chunk in frames.chunks(frames.len().div_ceil(PUSHERS)) {
                             scope.spawn(move || {
+                                let mut scratch = IngestScratch::new();
                                 for frame in chunk {
-                                    agg.ingest(frame);
+                                    agg.ingest_frame_bytes(frame, &mut scratch)
+                                        .expect("own encoding ingests");
                                 }
                             });
                         }
@@ -209,7 +192,7 @@ fn main() {
     // `pull/rebuild` pays the lock-merge-encode path every iteration
     // (decay is 1.0, so the epoch advance changes no weight — it only
     // invalidates the cache); `pull/cached` measures the steady-state
-    // hit path repeated `OP_PULL`s ride.
+    // hit path repeated pulls ride.
     let loaded = ShardedAggregator::new(AggregatorConfig::with_shards(8));
     {
         let mut scratch = IngestScratch::new();

@@ -450,7 +450,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 resilient_pull(&mut client, out)
             } else {
                 let mut client = ProfileClient::connect(addr.as_str(), NetConfig::default())?;
-                let merged = client.pull()?;
+                let merged = client.pull_chunked()?;
                 match format_for(out, None)? {
                     Format::Text => std::fs::write(out, serialize::to_text(&merged))?,
                     Format::Binary => std::fs::write(out, DcgCodec::encode_snapshot(&merged))?,

@@ -24,8 +24,8 @@ use crate::parallel::{run_cells, Parallelism};
 use crate::render::{f2, TextTable};
 use cbs_dcg::{overlap, CallEdge, DynamicCallGraph};
 use cbs_profiled::{
-    serve, AggregatorConfig, DcgCodec, Fault, FaultCounts, FaultSchedule, NetConfig, ProfileClient,
-    ResilientClient, RetryPolicy, ShardedAggregator,
+    serve, AggregatorConfig, DcgCodec, Fault, FaultCounts, FaultSchedule, IngestScratch, NetConfig,
+    ProfileClient, ResilientClient, RetryPolicy, ShardedAggregator,
 };
 use cbs_profiler::{CbsConfig, CounterBasedSampler};
 use cbs_vm::VmConfig;
@@ -164,11 +164,12 @@ fn stream_profile(graph: &DynamicCallGraph, agg: &ShardedAggregator) -> usize {
         live.record(e, w);
     }
     let delta = DcgCodec::encode_delta(&live.drain_delta());
+    let mut scratch = IngestScratch::new();
     let mut bytes = 0;
     for frame_bytes in [&snapshot, &delta] {
         bytes += frame_bytes.len();
-        let frame = DcgCodec::decode(frame_bytes).expect("own encoding decodes");
-        agg.ingest(&frame);
+        agg.ingest_frame_bytes(frame_bytes, &mut scratch)
+            .expect("own encoding ingests");
     }
     bytes
 }

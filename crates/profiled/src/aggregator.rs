@@ -4,8 +4,13 @@
 //! hash-partitioned by **caller** so every edge of a method — and hence
 //! every call site's whole receiver distribution — lives in exactly one
 //! shard. Ingestion from concurrent connections therefore contends only
-//! on the shards a frame actually touches, while the 40%-rule queries
-//! ([`site_distribution`]) stay single-graph exact.
+//! on the shards a frame actually touches.
+//!
+//! One ingest path: [`partition_frame`] decodes an encoded frame into
+//! per-shard buckets (validation: a bad frame touches no shard) and
+//! [`apply_partitioned`] folds the buckets in; [`ingest_frame_bytes`] is
+//! the two in sequence. The durable store runs the halves on either side
+//! of its write-ahead log.
 //!
 //! Freshness is a *virtual epoch clock*: [`advance_epoch`] only bumps an
 //! atomic counter; each shard applies one multiplicative decay pass per
@@ -19,27 +24,23 @@
 //!
 //! Consistency: [`merged_snapshot`] locks all shards (in index order —
 //! every multi-shard path uses that order, so there is no lock-order
-//! inversion), brings each to the current epoch, and merges in shard
-//! order. The result is a true cut: it contains exactly the frames
+//! inversion), brings each to the current epoch, and merges serially in
+//! shard order. The result is a true cut: it contains exactly the frames
 //! ingested before the lock sweep completed, and two snapshots of the
 //! same ingestion history are bit-identical.
 //!
+//! [`partition_frame`]: ShardedAggregator::partition_frame
+//! [`apply_partitioned`]: ShardedAggregator::apply_partitioned
+//! [`ingest_frame_bytes`]: ShardedAggregator::ingest_frame_bytes
 //! [`advance_epoch`]: ShardedAggregator::advance_epoch
 //! [`merged_snapshot`]: ShardedAggregator::merged_snapshot
-//! [`site_distribution`]: ShardedAggregator::site_distribution
 
-use crate::codec::{CodecError, DcgCodec, DcgFrame, FrameKind};
+use crate::codec::{CodecError, DcgCodec, FrameKind};
 use crate::metrics::ProfiledMetrics;
-use cbs_bytecode::{CallSiteId, MethodId};
+use cbs_bytecode::MethodId;
 use cbs_dcg::{CallEdge, DynamicCallGraph};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Below this many total edges a merged-snapshot rebuild stays serial;
-/// at or above it (and with ≥ 4 shards) shard graphs are merged by a
-/// small pool of scoped threads in a fixed reduction order.
-const PARALLEL_MERGE_MIN_EDGES: usize = 4096;
 
 /// Reusable scratch for partitioning a frame's records into per-shard
 /// buckets.
@@ -239,85 +240,11 @@ impl ShardedAggregator {
         }
     }
 
-    /// Folds a decoded frame into the shards.
-    ///
-    /// Snapshot and delta frames are both *additive*: a snapshot is a
-    /// VM's first flush, deltas are its subsequent growth, so the
-    /// aggregate over a fleet is simply the sum of everything pushed
-    /// (then decayed by the epoch clock). Records are grouped so each
-    /// touched shard is locked exactly once per frame.
-    pub fn ingest(&self, frame: &DcgFrame) {
-        self.ingest_records(&frame.edges);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        ProfiledMetrics::get().agg_frames.inc();
-    }
-
-    /// Folds raw `(edge, weight)` records (already validated positive and
-    /// finite, as the codec guarantees) into the shards.
-    ///
-    /// Convenience wrapper over
-    /// [`ingest_records_with`](Self::ingest_records_with) using a
-    /// throwaway scratch; pooled callers (the server's connection
-    /// threads) pass their own to keep the path allocation-free.
-    pub fn ingest_records(&self, records: &[(CallEdge, f64)]) {
-        let mut scratch = IngestScratch::new();
-        self.ingest_records_with(records, &mut scratch);
-    }
-
-    /// Folds raw records into the shards through a caller-owned
-    /// partitioning scratch.
-    ///
-    /// The records are partitioned into per-shard buckets in **one
-    /// pass**; each bucket preserves the input (edge-sorted) order of
-    /// its shard's records, so the weights land in exactly the order the
-    /// old one-scan-per-shard path applied them and repeated ingestion
-    /// histories stay bit-identical.
-    pub fn ingest_records_with(&self, records: &[(CallEdge, f64)], scratch: &mut IngestScratch) {
-        if self.shards.len() == 1 {
-            let mut guard = self.locked_current(0);
-            guard.graph.record_all_deferred(records);
-        } else {
-            scratch.reset(self.shards.len());
-            for &(e, w) in records {
-                scratch.buckets[self.shard_of(e.caller)].push((e, w));
-            }
-            self.apply_buckets(scratch);
-        }
-        self.finish_ingest(records.len());
-    }
-
-    /// Locks each touched shard once (index order) and applies its
-    /// bucket, clearing buckets for reuse.
-    ///
-    /// Records are applied *deferred*: weights land immediately, but
-    /// the shard's sorted permutation is left stale until the next
-    /// snapshot rebuild seals it ([`rebuild_merged`](Self::rebuild_merged)).
-    /// A shard absorbing thousands of frames between pulls therefore
-    /// pays for permutation maintenance once per pull, not per frame.
-    fn apply_buckets(&self, scratch: &mut IngestScratch) {
-        for (shard, bucket) in scratch.buckets.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut guard = self.locked_current(shard);
-            guard.graph.record_all_deferred(bucket);
-            bucket.clear();
-        }
-    }
-
-    /// Record-count bookkeeping shared by every ingest path; bumps the
-    /// snapshot generation when any record was applied.
-    fn finish_ingest(&self, records: usize) {
-        self.records.fetch_add(records as u64, Ordering::Relaxed);
-        ProfiledMetrics::get().agg_records.add(records as u64);
-        if records > 0 {
-            self.generation.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// Decodes an encoded frame *streamingly* into the shards: records
-    /// fold straight into the partitioning scratch as they are decoded,
-    /// with no intermediate `Vec<(CallEdge, f64)>`.
+    /// Decodes an encoded frame *streamingly* into the shards — the
+    /// one ingest entry point, [`partition_frame`](Self::partition_frame)
+    /// then [`apply_partitioned`](Self::apply_partitioned): records fold
+    /// straight into the partitioning scratch as they are decoded, with
+    /// no intermediate `Vec<(CallEdge, f64)>`.
     ///
     /// All-or-nothing: the frame is fully validated before any shard is
     /// touched, so a malformed frame applies nothing. Returns the frame
@@ -373,12 +300,34 @@ impl ShardedAggregator {
     /// does the per-frame bookkeeping. Returns the record count
     /// applied (the partition's count: the buckets drain into the
     /// shards exactly as filled).
+    ///
+    /// Each touched shard is locked once (index order) and absorbs its
+    /// bucket *deferred*: weights land immediately, but the shard's
+    /// sorted permutation is left stale until the next snapshot rebuild
+    /// seals it ([`rebuild_merged`](Self::rebuild_merged)). A shard
+    /// absorbing thousands of frames between pulls therefore pays for
+    /// permutation maintenance once per pull, not per frame. Buckets are
+    /// cleared for reuse; the snapshot generation bumps when any record
+    /// was applied.
     pub fn apply_partitioned(&self, scratch: &mut IngestScratch) -> usize {
-        let count = scratch.buckets.iter().map(Vec::len).sum();
-        self.apply_buckets(scratch);
+        let mut count = 0;
+        for (shard, bucket) in scratch.buckets.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            count += bucket.len();
+            let mut guard = self.locked_current(shard);
+            guard.graph.record_all_deferred(bucket);
+            bucket.clear();
+        }
+        let m = ProfiledMetrics::get();
         self.frames.fetch_add(1, Ordering::Relaxed);
-        ProfiledMetrics::get().agg_frames.inc();
-        self.finish_ingest(count);
+        m.agg_frames.inc();
+        self.records.fetch_add(count as u64, Ordering::Relaxed);
+        m.agg_records.add(count as u64);
+        if count > 0 {
+            self.generation.fetch_add(1, Ordering::Release);
+        }
         count
     }
 
@@ -434,16 +383,14 @@ impl ShardedAggregator {
     }
 
     /// Builds a merged snapshot from the live shards: all shards locked
-    /// (index order), decayed to the current epoch, and merged with a
-    /// fixed reduction order.
+    /// (index order), decayed to the current epoch, sealed, and merged
+    /// in shard order.
     ///
-    /// Caller-partitioning means every edge lives in exactly one shard,
-    /// so merging only copies disjoint edge sets and the merged graph —
-    /// including its canonically re-summed total — is bit-identical for
-    /// *any* merge tree shape. That freedom is what lets large rebuilds
-    /// fan the per-shard merges out over scoped threads (chunked, fixed
-    /// chunk boundaries, chunk results folded in index order) without
-    /// perturbing a single output bit vs the serial shard-order merge.
+    /// Serial on purpose. Caller partitioning makes the shards' edge
+    /// sets disjoint, so a thread fan-out could only split the same
+    /// copies across workers and then copy every edge again in a final
+    /// merge of the partial results; measured at 4 shards on a 2-core
+    /// host, that fan-out was slower than this one pass (DESIGN §9.2).
     fn rebuild_merged(&self) -> DynamicCallGraph {
         let epoch = self.epoch.load(Ordering::Acquire);
         let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(self.shards.len());
@@ -455,27 +402,7 @@ impl ShardedAggregator {
             guard.graph.seal();
             guards.push(guard);
         }
-        let total_edges: usize = guards.iter().map(|g| g.graph.num_edges()).sum();
-        if guards.len() >= 4 && total_edges >= PARALLEL_MERGE_MIN_EDGES {
-            // Four chunks ≈ four merge workers; the last partial merge
-            // below walks the chunk results in index order.
-            let chunk = guards.len().div_ceil(4);
-            let partials: Vec<DynamicCallGraph> = std::thread::scope(|s| {
-                let workers: Vec<_> = guards
-                    .chunks(chunk)
-                    .map(|gs| {
-                        s.spawn(move || DynamicCallGraph::merge_all(gs.iter().map(|g| &g.graph)))
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("merge worker"))
-                    .collect()
-            });
-            DynamicCallGraph::merge_all(partials.iter())
-        } else {
-            DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
-        }
+        DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
     }
 
     /// The cached `(graph, encoded)` pair for the current generation,
@@ -525,9 +452,9 @@ impl ShardedAggregator {
     }
 
     /// The canonical [`DcgCodec::encode_snapshot`] bytes of the merged
-    /// snapshot, shared from the cache — the server's `OP_PULL` /
-    /// `OP_PULL_CHUNK` fast path: repeated pulls of an unchanged
-    /// aggregate are O(1), re-serving the same encoded buffer.
+    /// snapshot, shared from the cache — the server's `OP_PULL_CHUNK`
+    /// fast path: repeated pulls of an unchanged aggregate are O(1),
+    /// re-serving the same encoded buffer.
     pub fn encoded_snapshot(&self) -> Arc<Vec<u8>> {
         self.cached_snapshot().1
     }
@@ -566,42 +493,6 @@ impl ShardedAggregator {
         encoded
     }
 
-    /// Fleet-wide hot edges: edges holding at least `percent` of the
-    /// merged total weight, heaviest first (the inliner's hot-edge
-    /// query). Served from the snapshot cache.
-    pub fn hot_edges(&self, percent: f64) -> Vec<(CallEdge, f64)> {
-        self.merged_snapshot_shared().hot_edges(percent)
-    }
-
-    /// The fleet-wide receiver distribution of one call site, sorted by
-    /// descending weight — the input to the paper's 40% guarded-inlining
-    /// rule.
-    ///
-    /// A call site is identified by its `(caller, site)` pair: site ids
-    /// can repeat under *other* callers (including callers that happen to
-    /// hash to the same shard), so the query filters the cached merged
-    /// snapshot on the caller itself, never on its shard.
-    pub fn site_distribution(&self, caller: MethodId, site: CallSiteId) -> Vec<(MethodId, f64)> {
-        let graph = self.merged_snapshot_shared();
-        let mut per_callee: HashMap<MethodId, f64> = HashMap::new();
-        for (e, w) in graph.iter() {
-            if e.caller == caller && e.site == site {
-                *per_callee.entry(e.callee).or_insert(0.0) += w;
-            }
-        }
-        let mut v: Vec<(MethodId, f64)> = per_callee.into_iter().collect();
-        v.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Total weight flowing out of `caller`, from the cached merged
-    /// snapshot. All of `caller`'s edges share one shard, so the merged
-    /// graph's caller-filtered subsequence is exactly that shard's — the
-    /// sum is bit-identical to scanning the shard under its lock.
-    pub fn outgoing_weight(&self, caller: MethodId) -> f64 {
-        self.merged_snapshot_shared().outgoing_weight(caller)
-    }
-
     /// Ingestion counters and per-shard sizes.
     pub fn stats(&self) -> AggregatorStats {
         AggregatorStats {
@@ -620,7 +511,7 @@ impl ShardedAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::DcgCodec;
+    use cbs_bytecode::CallSiteId;
 
     fn e(caller: u32, site: u32, callee: u32) -> CallEdge {
         CallEdge::new(
@@ -634,19 +525,51 @@ mod tests {
         entries.iter().copied().collect()
     }
 
+    /// Folds `records` in as one delta frame through the ingest path.
+    fn fold_delta(agg: &ShardedAggregator, records: &[(CallEdge, f64)]) {
+        agg.ingest_frame_bytes(&DcgCodec::encode_delta(records), &mut IngestScratch::new())
+            .expect("own encoding ingests");
+    }
+
+    /// The sharded merge must equal a direct merge of the pushed graphs
+    /// at every shard count, to the last bit of every weight, of the
+    /// re-summed total and of the canonical encoding. The third graph
+    /// holds 6 000 distinct edges, so an 8-shard rebuild merges well
+    /// over 4 096 of them.
     #[test]
     fn sharded_merge_equals_direct_merge_for_any_shard_count() {
         let a = graph(&[(e(0, 0, 1), 3.0), (e(7, 1, 2), 1.0), (e(93, 2, 3), 4.0)]);
         let b = graph(&[(e(0, 0, 1), 2.0), (e(41, 3, 5), 8.0)]);
-        let expected = DynamicCallGraph::merge_all([&a, &b]);
+        let big = graph(
+            &(0..6000u32)
+                .map(|i| (e(i % 997, i % 13, i % 31), 0.5 + f64::from(i % 17)))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(big.num_edges(), 6000);
+        let expected = DynamicCallGraph::merge_all([&a, &b, &big]);
         for shards in [1, 2, 4, 8, 13] {
             let agg = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-            agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&a)).unwrap());
-            agg.ingest(&DcgCodec::decode(&DcgCodec::encode_snapshot(&b)).unwrap());
+            let mut scratch = IngestScratch::new();
+            for g in [&a, &b, &big] {
+                let (kind, n) = agg
+                    .ingest_frame_bytes(&DcgCodec::encode_snapshot(g), &mut scratch)
+                    .expect("own encoding ingests");
+                assert_eq!((kind, n), (FrameKind::Snapshot, g.num_edges()));
+            }
             let merged = agg.merged_snapshot();
             assert_eq!(merged, expected, "shards={shards}");
-            assert_eq!(agg.stats().frames, 2);
-            assert_eq!(agg.stats().records, 5);
+            assert_eq!(
+                merged.total_weight().to_bits(),
+                expected.total_weight().to_bits(),
+                "shards={shards}"
+            );
+            assert_eq!(
+                *agg.encoded_snapshot(),
+                DcgCodec::encode_snapshot(&expected),
+                "shards={shards}"
+            );
+            assert_eq!(agg.stats().frames, 3);
+            assert_eq!(agg.stats().records, 6005);
             assert_eq!(agg.stats().total_edges(), merged.num_edges());
         }
     }
@@ -655,23 +578,20 @@ mod tests {
     fn caller_partitioning_keeps_sites_whole() {
         let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
         // Virtual site 4 in caller 2 dispatches to three receivers.
-        agg.ingest_records(&[
-            (e(2, 4, 10), 50.0),
-            (e(2, 4, 11), 45.0),
-            (e(2, 4, 12), 5.0),
-            (e(3, 9, 10), 100.0),
-        ]);
-        let dist = agg.site_distribution(MethodId::new(2), CallSiteId::new(4));
-        assert_eq!(dist.len(), 3);
-        assert_eq!(dist[0], (MethodId::new(10), 50.0));
-        // 40%-rule shares are exact per-site fractions.
-        let total: f64 = dist.iter().map(|(_, w)| w).sum();
-        assert!((dist[0].1 / total - 0.5).abs() < 1e-12);
-        assert_eq!(agg.outgoing_weight(MethodId::new(2)), 100.0);
+        fold_delta(
+            &agg,
+            &[
+                (e(2, 4, 10), 50.0),
+                (e(2, 4, 11), 45.0),
+                (e(2, 4, 12), 5.0),
+                (e(3, 9, 10), 100.0),
+            ],
+        );
         // All of caller 2's edges share one shard.
-        let s = agg.shard_of(MethodId::new(2));
+        let s2 = agg.shard_of(MethodId::new(2));
+        let s3 = agg.shard_of(MethodId::new(3));
         let shard_sizes = agg.stats().shard_edges;
-        assert!(shard_sizes[s] >= 3);
+        assert_eq!(shard_sizes[s2], if s2 == s3 { 4 } else { 3 });
     }
 
     #[test]
@@ -682,7 +602,7 @@ mod tests {
             min_weight: 0.0,
         };
         let agg = ShardedAggregator::new(cfg);
-        agg.ingest_records(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 4.0)]);
+        fold_delta(&agg, &[(e(0, 0, 1), 16.0), (e(9, 1, 2), 4.0)]);
         // Three epochs pass without the shards being touched.
         agg.advance_epoch();
         agg.advance_epoch();
@@ -694,7 +614,7 @@ mod tests {
         );
         assert!((merged.weight(&e(9, 1, 2)) - 0.5).abs() < 1e-12);
         // Fresh weight lands undecayed after the catch-up.
-        agg.ingest_records(&[(e(0, 0, 1), 1.0)]);
+        fold_delta(&agg, &[(e(0, 0, 1), 1.0)]);
         assert!((agg.merged_snapshot().weight(&e(0, 0, 1)) - 3.0).abs() < 1e-12);
         assert_eq!(agg.epoch(), 3);
     }
@@ -716,9 +636,9 @@ mod tests {
             .map(|i| (e(i % 7, i % 3, i % 5), 0.1 + f64::from(i) / 3.0))
             .collect();
         let lazy = ShardedAggregator::new(cfg);
-        lazy.ingest_records(&records);
+        fold_delta(&lazy, &records);
         let eager = ShardedAggregator::new(cfg);
-        eager.ingest_records(&records);
+        fold_delta(&eager, &records);
         for _ in 0..5 {
             lazy.advance_epoch();
             eager.advance_epoch();
@@ -743,7 +663,7 @@ mod tests {
             min_weight: 0.0,
         };
         let original = ShardedAggregator::new(cfg);
-        original.ingest_records(&[(e(0, 0, 1), 16.0), (e(9, 1, 2), 5.5)]);
+        fold_delta(&original, &[(e(0, 0, 1), 16.0), (e(9, 1, 2), 5.5)]);
         original.advance_epoch();
         original.advance_epoch();
         let snapshot = original.encoded_snapshot();
@@ -775,84 +695,11 @@ mod tests {
             min_weight: 0.5,
         };
         let agg = ShardedAggregator::new(cfg);
-        agg.ingest_records(&[(e(0, 0, 1), 100.0), (e(1, 1, 2), 1.0)]);
+        fold_delta(&agg, &[(e(0, 0, 1), 100.0), (e(1, 1, 2), 1.0)]);
         agg.advance_epoch();
         let merged = agg.merged_snapshot();
         assert_eq!(merged.num_edges(), 1, "light edge pruned: {merged:?}");
         assert!((merged.weight(&e(0, 0, 1)) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hot_edges_are_fleet_wide() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
-        // Two "VMs" each see half of a hot edge's traffic.
-        agg.ingest_records(&[(e(0, 0, 1), 49.0), (e(5, 1, 2), 1.0)]);
-        agg.ingest_records(&[(e(0, 0, 1), 49.0), (e(6, 2, 3), 1.0)]);
-        let hot = agg.hot_edges(50.0);
-        assert_eq!(hot.len(), 1);
-        assert_eq!(hot[0].0, e(0, 0, 1));
-        assert_eq!(hot[0].1, 98.0);
-    }
-
-    #[test]
-    fn concurrent_ingestion_converges_to_the_same_multiset() {
-        use std::sync::Arc;
-        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(4)));
-        let frames: Vec<Vec<(CallEdge, f64)>> = (0..16u32)
-            .map(|i| {
-                (0..50u32)
-                    .map(|j| (e(j % 11, j % 5, (i + j) % 7), 1.0))
-                    .collect()
-            })
-            .collect();
-        // Expected: same records ingested serially.
-        let serial = ShardedAggregator::new(AggregatorConfig::with_shards(4));
-        for f in &frames {
-            serial.ingest_records(f);
-        }
-        let expected = serial.merged_snapshot();
-
-        std::thread::scope(|scope| {
-            for chunk in frames.chunks(4) {
-                let agg = Arc::clone(&agg);
-                scope.spawn(move || {
-                    for f in chunk {
-                        agg.ingest_records(f);
-                    }
-                });
-            }
-        });
-        // Unit weights: addition is exact, so any interleaving converges
-        // to the identical graph.
-        assert_eq!(agg.merged_snapshot(), expected);
-    }
-
-    #[test]
-    fn streaming_ingest_is_bit_identical_to_decoded_ingest() {
-        for shards in [1, 4, 8] {
-            let mut g = DynamicCallGraph::new();
-            for i in 0..200u32 {
-                g.record(e(i % 23, i % 7, i % 11), 0.25 + f64::from(i));
-            }
-            let bytes = DcgCodec::encode_snapshot(&g);
-
-            let decoded = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-            decoded.ingest(&DcgCodec::decode(&bytes).unwrap());
-            let streamed = ShardedAggregator::new(AggregatorConfig::with_shards(shards));
-            let mut scratch = IngestScratch::new();
-            let (kind, n) = streamed.ingest_frame_bytes(&bytes, &mut scratch).unwrap();
-            assert_eq!(kind, crate::codec::FrameKind::Snapshot);
-            assert_eq!(n, g.num_edges());
-            assert_eq!(streamed.stats(), decoded.stats(), "shards={shards}");
-            let a = streamed.merged_snapshot();
-            let b = decoded.merged_snapshot();
-            assert_eq!(a, b, "shards={shards}");
-            assert_eq!(
-                DcgCodec::encode_snapshot(&a),
-                DcgCodec::encode_snapshot(&b),
-                "encodings must match byte-for-byte (shards={shards})"
-            );
-        }
     }
 
     #[test]
@@ -865,7 +712,7 @@ mod tests {
         bytes.push(0xff); // trailing byte: frame must be rejected whole
         let mut scratch = IngestScratch::new();
         let err = agg.ingest_frame_bytes(&bytes, &mut scratch).unwrap_err();
-        assert_eq!(err, crate::codec::CodecError::TrailingBytes);
+        assert_eq!(err, CodecError::TrailingBytes);
         let stats = agg.stats();
         assert_eq!((stats.frames, stats.records), (0, 0));
         assert!(agg.merged_snapshot().is_empty());
@@ -878,9 +725,8 @@ mod tests {
 
     #[test]
     fn snapshot_cache_hits_until_invalidated() {
-        use std::sync::Arc;
         let agg = ShardedAggregator::new(AggregatorConfig::with_shards(4));
-        agg.ingest_records(&[(e(0, 0, 1), 2.0), (e(9, 1, 2), 3.0)]);
+        fold_delta(&agg, &[(e(0, 0, 1), 2.0), (e(9, 1, 2), 3.0)]);
 
         let first = agg.encoded_snapshot();
         let again = agg.encoded_snapshot();
@@ -893,7 +739,7 @@ mod tests {
         assert!(Arc::ptr_eq(&g1, &g2));
 
         // Ingest invalidates: the next pull re-encodes and sees new data.
-        agg.ingest_records(&[(e(0, 0, 1), 1.0)]);
+        fold_delta(&agg, &[(e(0, 0, 1), 1.0)]);
         let after_push = agg.encoded_snapshot();
         assert!(!Arc::ptr_eq(&first, &after_push), "push must invalidate");
         assert_eq!(
@@ -915,102 +761,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rebuild_matches_serial_merge_bit_for_bit() {
-        // Enough edges to cross PARALLEL_MERGE_MIN_EDGES with 8 shards.
-        let records: Vec<(CallEdge, f64)> = (0..6000u32)
-            .map(|i| (e(i % 997, i % 13, i % 31), 0.5 + f64::from(i % 17)))
-            .collect();
-        let par = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        par.ingest_records(&records);
-        assert!(par.stats().total_edges() >= PARALLEL_MERGE_MIN_EDGES);
-        // Serial reference: shard-order merge under the same partition.
-        let reference = {
-            let epoch = par.epoch.load(Ordering::Acquire);
-            let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::new();
-            for shard in &par.shards {
-                let mut guard = shard.lock().expect("shard lock");
-                ShardedAggregator::catch_up(&mut guard, epoch, par.decay_factor, par.min_weight);
-                guard.graph.seal();
-                guards.push(guard);
-            }
-            DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
-        };
-        let rebuilt = par.merged_snapshot();
-        assert_eq!(rebuilt, reference);
-        assert_eq!(
-            DcgCodec::encode_snapshot(&rebuilt),
-            DcgCodec::encode_snapshot(&reference)
-        );
-        assert_eq!(
-            rebuilt.total_weight().to_bits(),
-            reference.total_weight().to_bits()
-        );
-    }
-
-    #[test]
-    fn cached_queries_match_direct_shard_scans() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        // Site id 4 reused under several callers (some in other shards).
-        agg.ingest_records(&[
-            (e(2, 4, 10), 50.0),
-            (e(2, 4, 11), 45.0),
-            (e(3, 4, 10), 500.0),
-            (e(17, 4, 12), 9.0),
-            (e(2, 6, 12), 5.0),
-        ]);
-        let dist = agg.site_distribution(MethodId::new(2), CallSiteId::new(4));
-        // Only caller 2's own edges contribute — callers 3 and 17 reuse
-        // site id 4 but belong to different call sites, wherever their
-        // shards land.
-        assert_eq!(
-            dist,
-            vec![(MethodId::new(10), 50.0), (MethodId::new(11), 45.0)]
-        );
-        assert_eq!(agg.outgoing_weight(MethodId::new(2)), 100.0);
-    }
-
-    /// Regression: two callers that hash to the *same shard* and reuse a
-    /// site id are distinct call sites. Filtering by shard (as the query
-    /// once did) merges their receiver distributions and corrupts the
-    /// 40%-rule input.
-    #[test]
-    fn site_distribution_filters_on_caller_not_shard() {
-        let agg = ShardedAggregator::new(AggregatorConfig::with_shards(8));
-        let a = MethodId::new(2);
-        let b = (3..4096u32)
-            .map(MethodId::new)
-            .find(|m| agg.shard_of(*m) == agg.shard_of(a))
-            .expect("some other caller shares caller 2's shard");
-        agg.ingest_records(&[
-            (
-                CallEdge::new(a, CallSiteId::new(4), MethodId::new(10)),
-                50.0,
-            ),
-            (
-                CallEdge::new(a, CallSiteId::new(4), MethodId::new(11)),
-                45.0,
-            ),
-            // Same shard, same site id, different caller: must not leak in.
-            (
-                CallEdge::new(b, CallSiteId::new(4), MethodId::new(12)),
-                500.0,
-            ),
-        ]);
-        let dist = agg.site_distribution(a, CallSiteId::new(4));
-        assert_eq!(
-            dist,
-            vec![(MethodId::new(10), 50.0), (MethodId::new(11), 45.0)],
-            "same-shard caller {b:?} polluted caller {a:?}'s distribution"
-        );
-        let dist_b = agg.site_distribution(b, CallSiteId::new(4));
-        assert_eq!(dist_b, vec![(MethodId::new(12), 500.0)]);
-    }
-
-    #[test]
     fn zero_shards_clamps_to_one() {
         let agg = ShardedAggregator::new(AggregatorConfig::with_shards(0));
         assert_eq!(agg.num_shards(), 1);
-        agg.ingest_records(&[(e(0, 0, 1), 1.0)]);
+        fold_delta(&agg, &[(e(0, 0, 1), 1.0)]);
         assert_eq!(agg.merged_snapshot().num_edges(), 1);
     }
 }

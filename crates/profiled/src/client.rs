@@ -2,10 +2,11 @@
 //!
 //! A [`ProfileClient`] holds one connection and issues synchronous
 //! request/response exchanges: push a snapshot or delta frame, pull the
-//! merged fleet profile (whole or paged), advance the decay epoch, or
-//! fetch stats. Every server-side rejection (malformed frame, frame
-//! limit, backpressure) surfaces as [`ClientError::Server`] with the
-//! server's reason string.
+//! merged fleet profile (paged, so it never outgrows the frame limit) or
+//! the fleet inlining plan, advance the decay epoch, or fetch stats.
+//! Every server-side rejection (malformed frame, frame limit,
+//! backpressure) surfaces as [`ClientError::Server`] with the server's
+//! reason string.
 //!
 //! ## Connection poisoning
 //!
@@ -26,7 +27,7 @@
 use crate::codec::{CodecError, DcgCodec};
 use crate::metrics::ProfiledMetrics;
 use crate::wire::{
-    read_msg, write_msg, NetConfig, OP_EPOCH, OP_METRICS, OP_PLAN, OP_PULL, OP_PULL_CHUNK, OP_PUSH,
+    read_msg, write_msg, NetConfig, OP_EPOCH, OP_METRICS, OP_PLAN, OP_PULL_CHUNK, OP_PUSH,
     OP_PUSH_SEQ, OP_STATS, ST_OK,
 };
 use cbs_dcg::{CallEdge, DynamicCallGraph};
@@ -254,21 +255,6 @@ impl<S: Read + Write> ProfileClient<S> {
         self.push_frame(&DcgCodec::encode_delta(increments))
     }
 
-    /// Pulls the fleet-wide merged snapshot in one frame.
-    ///
-    /// Fails with a server-side rejection when the snapshot exceeds the
-    /// frame limit; [`pull_chunked`](Self::pull_chunked) degrades
-    /// gracefully instead.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, a server-side rejection, or an undecodable
-    /// reply.
-    pub fn pull(&mut self) -> Result<DynamicCallGraph, ClientError> {
-        let payload = self.exchange(OP_PULL, &[])?;
-        Ok(DcgCodec::decode_snapshot(&payload)?)
-    }
-
     /// Pulls the fleet inlining plan — [`cbs_inliner::build_plan`] run
     /// server-side against the merged snapshot, versioned with its
     /// snapshot generation. An unchanged aggregate answers with
@@ -284,9 +270,9 @@ impl<S: Read + Write> ProfileClient<S> {
     }
 
     /// Pulls the fleet-wide merged snapshot via paged `OP_PULL_CHUNK`
-    /// exchanges, reassembling however many frames the snapshot needs.
-    /// Page 0 captures a consistent snapshot server-side, so the merge
-    /// cannot tear between pages.
+    /// exchanges, reassembling however many frames the snapshot needs
+    /// (one exchange when it fits a frame). Page 0 captures a consistent
+    /// snapshot server-side, so the merge cannot tear between pages.
     ///
     /// # Errors
     ///

@@ -12,12 +12,14 @@
 //!   [`cbs_dcg::DynamicCallGraph::drain_delta`]);
 //! * [`aggregator`] — [`ShardedAggregator`], hash-partitioned by caller
 //!   across N shards with a lazily-applied exponential-decay epoch
-//!   clock, consistent merged snapshots, and the hot-edge /
-//!   receiver-distribution queries the 40%-rule inliner consumes;
+//!   clock, one ingest path for encoded frames, and consistent merged
+//!   snapshots cached per generation;
 //! * [`server`]/[`client`] — a `std::net` TCP service speaking
-//!   length-prefixed frames with per-connection timeouts, frame-size and
-//!   inflight-connection limits, and malformed-frame rejection that
-//!   never takes the server down.
+//!   length-prefixed frames ([`wire`]) with per-connection timeouts,
+//!   frame-size and inflight-connection limits, and malformed-frame
+//!   rejection that never takes the server down. The merged profile is
+//!   pulled in pages ([`ProfileClient::pull_chunked`]), so it never
+//!   outgrows the frame limit.
 //!
 //! The exploitation loop closes over the same service: the aggregator
 //! runs `cbs_inliner::build_plan` (the paper's `NewLinearPolicy` + 40%
@@ -66,7 +68,7 @@
 //! );
 //! let mut client = ProfileClient::connect(server.addr(), NetConfig::default())?;
 //! client.push_snapshot(&vm_profile)?;
-//! let fleet = client.pull()?;
+//! let fleet = client.pull_chunked()?;
 //! assert_eq!(fleet, vm_profile);
 //! server.shutdown();
 //! # Ok(())

@@ -31,8 +31,6 @@ pub struct ProfiledMetrics {
     pub server_op_push: Counter,
     /// `OP_PUSH_SEQ` requests handled.
     pub server_op_push_seq: Counter,
-    /// `OP_PULL` requests handled.
-    pub server_op_pull: Counter,
     /// `OP_PULL_CHUNK` requests handled.
     pub server_op_pull_chunk: Counter,
     /// `OP_STATS` requests handled.
@@ -146,7 +144,6 @@ impl ProfiledMetrics {
                     "profiled.server.op.push_seq",
                     "OP_PUSH_SEQ requests handled",
                 ),
-                server_op_pull: r.counter("profiled.server.op.pull", "OP_PULL requests handled"),
                 server_op_pull_chunk: r.counter(
                     "profiled.server.op.pull_chunk",
                     "OP_PULL_CHUNK requests handled",

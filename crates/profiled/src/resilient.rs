@@ -26,10 +26,12 @@
 //!   double-count weight. Combined with lossless requeueing this gives
 //!   effectively-once delivery of every increment.
 //!
-//! Pulls prefer the paged `OP_PULL_CHUNK` form, which keeps working
+//! Every operation runs through one retry loop with a per-operation
+//! rule. Pulls use the paged `OP_PULL_CHUNK` form, which keeps working
 //! when the merged snapshot outgrows `max_frame_bytes`. Epoch advances
 //! are *not* blindly retried — decay is not idempotent — only failures
-//! that provably precede delivery (connect errors, busy refusals) are.
+//! that provably precede delivery (connect errors, busy and shutdown
+//! refusals) are.
 
 use crate::client::{ClientError, ProfileClient, PushOutcome};
 use crate::codec::DcgCodec;
@@ -232,18 +234,18 @@ impl<S: Read + Write> ResilientClient<S> {
         self.outbox.len()
     }
 
-    /// Whether a failure class is safe to retry. Transport and framing
-    /// failures always are (pushes are deduplicated server-side, pulls
-    /// are idempotent); server rejections only when the server refused
-    /// *before* acting — backpressure and shutdown refusals.
+    /// Whether the server refused *before* acting: backpressure and
+    /// shutdown refusals. The server closes the connection after either.
+    fn is_refusal(e: &ClientError) -> bool {
+        matches!(e, ClientError::Server(msg) if msg.starts_with("busy") || msg.contains("shutting down"))
+    }
+
+    /// Whether a failed idempotent or deduplicated exchange may be
+    /// retried. Transport and framing failures always may (pushes are
+    /// deduplicated server-side, pulls are idempotent); server
+    /// rejections only when they are refusals.
     fn is_retryable(e: &ClientError) -> bool {
-        match e {
-            ClientError::Io(_)
-            | ClientError::Codec(_)
-            | ClientError::Protocol(_)
-            | ClientError::Poisoned => true,
-            ClientError::Server(msg) => msg.starts_with("busy") || msg.contains("shutting down"),
-        }
+        !matches!(e, ClientError::Server(_)) || Self::is_refusal(e)
     }
 
     /// The deterministic backoff before retry attempt `attempt`
@@ -311,18 +313,22 @@ impl<S: Read + Write> ResilientClient<S> {
     /// The last attempt's failure once retries are exhausted; remaining
     /// batches stay queued.
     pub fn flush(&mut self) -> Result<(), ClientError> {
-        while let Some(front) = self.outbox.front() {
+        let client_id = self.client_id;
+        while let Some(front) = self.outbox.front_mut() {
+            // From the first attempt on, the server may apply this batch.
+            front.attempted = true;
             let seq = front.seq;
             let frame = DcgCodec::encode_delta(&front.increments);
-            let outcome = match self.retrying(|c| c.push_seq_front(seq, &frame)) {
-                Ok(o) => o,
-                Err(e) => {
-                    // The front batch (and everything behind it) stays
-                    // queued for the next flush.
-                    ProfiledMetrics::get().client_requeued_batches.inc();
-                    return Err(e);
-                }
-            };
+            let outcome =
+                match self.retrying(Self::is_retryable, |c| c.push_seq(client_id, seq, &frame)) {
+                    Ok(o) => o,
+                    Err(e) => {
+                        // The front batch (and everything behind it) stays
+                        // queued for the next flush.
+                        ProfiledMetrics::get().client_requeued_batches.inc();
+                        return Err(e);
+                    }
+                };
             if outcome == PushOutcome::Duplicate {
                 self.stats.duplicates += 1;
                 ProfiledMetrics::get().client_duplicates.inc();
@@ -363,35 +369,34 @@ impl<S: Read + Write> ResilientClient<S> {
     }
 
     /// Runs `op` against a live connection, reconnecting and retrying
-    /// on retryable failures up to the policy's attempt budget.
+    /// up to the policy's attempt budget. A connect failure always
+    /// retries (nothing was sent); a failure of `op` retries when
+    /// `retry` allows it. Every retry drops the connection first, so the
+    /// next attempt runs on a fresh one.
     fn retrying<T>(
         &mut self,
-        mut op: impl FnMut(&mut Self) -> Result<T, ClientError>,
+        retry: fn(&ClientError) -> bool,
+        mut op: impl FnMut(&mut ProfileClient<S>) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match op(self) {
-                Ok(v) => return Ok(v),
-                Err(e) if Self::is_retryable(&e) && attempt < self.policy.max_attempts => {
-                    self.disconnect();
-                    self.stats.retries += 1;
-                    ProfiledMetrics::get().client_retries.inc();
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
+            let e = match self.ensure_connected() {
+                Ok(client) => match op(client) {
+                    Ok(v) => return Ok(v),
+                    Err(e) if retry(&e) => e,
+                    Err(e) => return Err(e),
+                },
+                Err(e) => e,
+            };
+            if attempt >= self.policy.max_attempts {
+                return Err(e);
             }
+            self.disconnect();
+            self.stats.retries += 1;
+            ProfiledMetrics::get().client_retries.inc();
+            self.backoff(attempt);
         }
-    }
-
-    /// One delivery attempt of the front batch (caller supplies its
-    /// seq/frame so the borrow of `self.outbox` has ended).
-    fn push_seq_front(&mut self, seq: u64, frame: &[u8]) -> Result<PushOutcome, ClientError> {
-        if let Some(front) = self.outbox.front_mut() {
-            front.attempted = true;
-        }
-        let client_id = self.client_id;
-        self.ensure_connected()?.push_seq(client_id, seq, frame)
     }
 
     /// Pulls the merged snapshot via paged `OP_PULL_CHUNK` exchanges,
@@ -401,7 +406,7 @@ impl<S: Read + Write> ResilientClient<S> {
     ///
     /// The last attempt's failure once retries are exhausted.
     pub fn pull(&mut self) -> Result<DynamicCallGraph, ClientError> {
-        self.retrying(|s| s.ensure_connected()?.pull_chunked())
+        self.retrying(Self::is_retryable, ProfileClient::pull_chunked)
     }
 
     /// [`pull`](Self::pull), also returning the page count of the
@@ -411,7 +416,7 @@ impl<S: Read + Write> ResilientClient<S> {
     ///
     /// As [`pull`](Self::pull).
     pub fn pull_counted(&mut self) -> Result<(DynamicCallGraph, u32), ClientError> {
-        self.retrying(|s| s.ensure_connected()?.pull_chunked_counted())
+        self.retrying(Self::is_retryable, ProfileClient::pull_chunked_counted)
     }
 
     /// Pulls the fleet inlining plan, with reconnection and retries
@@ -422,7 +427,7 @@ impl<S: Read + Write> ResilientClient<S> {
     ///
     /// The last attempt's failure once retries are exhausted.
     pub fn pull_plan(&mut self) -> Result<InlinePlan, ClientError> {
-        self.retrying(|s| s.ensure_connected()?.pull_plan())
+        self.retrying(Self::is_retryable, ProfileClient::pull_plan)
     }
 
     /// Fetches the server's stats text, with reconnection and retries.
@@ -431,7 +436,7 @@ impl<S: Read + Write> ResilientClient<S> {
     ///
     /// The last attempt's failure once retries are exhausted.
     pub fn stats_text(&mut self) -> Result<String, ClientError> {
-        self.retrying(|s| s.ensure_connected()?.stats_text())
+        self.retrying(Self::is_retryable, ProfileClient::stats_text)
     }
 
     /// Fetches the server's telemetry exposition, with reconnection and
@@ -441,53 +446,21 @@ impl<S: Read + Write> ResilientClient<S> {
     ///
     /// The last attempt's failure once retries are exhausted.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        self.retrying(|s| s.ensure_connected()?.metrics_text())
+        self.retrying(Self::is_retryable, ProfileClient::metrics_text)
     }
 
     /// Advances the decay epoch. **Not** blindly retried: decay is not
     /// idempotent, so only failures that provably precede delivery
-    /// (connect failures, busy/shutdown refusals) are retried; a
-    /// mid-exchange transport failure is surfaced to the caller, who
-    /// must decide whether the epoch may have advanced.
+    /// (connect failures, busy/shutdown refusals) are retried, each on a
+    /// fresh connection; a mid-exchange transport failure is surfaced to
+    /// the caller, who must decide whether the epoch may have advanced.
     ///
     /// # Errors
     ///
     /// Any mid-exchange failure, or the last pre-delivery failure once
     /// retries are exhausted.
     pub fn advance_epoch(&mut self) -> Result<u64, ClientError> {
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            // Connect failures are always safe to retry.
-            match self.ensure_connected().map(drop) {
-                Ok(()) => {}
-                Err(e) if Self::is_retryable(&e) && attempt < self.policy.max_attempts => {
-                    self.disconnect();
-                    self.stats.retries += 1;
-                    ProfiledMetrics::get().client_retries.inc();
-                    self.backoff(attempt);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            match self
-                .client
-                .as_mut()
-                .expect("just connected")
-                .advance_epoch()
-            {
-                Ok(epoch) => return Ok(epoch),
-                // A server refusal means the request was *not* acted on.
-                Err(e @ ClientError::Server(_))
-                    if Self::is_retryable(&e) && attempt < self.policy.max_attempts =>
-                {
-                    self.stats.retries += 1;
-                    ProfiledMetrics::get().client_retries.inc();
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.retrying(Self::is_refusal, ProfileClient::advance_epoch)
     }
 }
 

@@ -31,8 +31,8 @@ use crate::dedup::DedupTable;
 use crate::journal::{JournalError, MemJournal, ProfileJournal, SeqIngest};
 use crate::metrics::ProfiledMetrics;
 use crate::wire::{
-    read_msg_into, write_msg, NetConfig, CHUNK_REPLY_OVERHEAD, OP_EPOCH, OP_METRICS, OP_PLAN,
-    OP_PULL, OP_PULL_CHUNK, OP_PUSH, OP_PUSH_SEQ, OP_STATS, ST_ERR, ST_OK,
+    frame_msg, read_msg_into, write_msg, NetConfig, CHUNK_REPLY_OVERHEAD, OP_EPOCH, OP_METRICS,
+    OP_PLAN, OP_PULL_CHUNK, OP_PUSH, OP_PUSH_SEQ, OP_STATS, ST_ERR, ST_OK,
 };
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -294,14 +294,7 @@ fn reply(
     if parts.first().and_then(|p| p.first()) == Some(&ST_ERR) {
         metrics.server_err_replies.inc();
     }
-    let len32 = u32::try_from(len)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "message exceeds u32 length"))?;
-    out.clear();
-    out.reserve(4 + len);
-    out.extend_from_slice(&len32.to_be_bytes());
-    for p in parts {
-        out.extend_from_slice(p);
-    }
+    frame_msg(out, parts)?;
     stream.write_all(out)
 }
 
@@ -377,204 +370,193 @@ fn serve_connection(
                 return Ok(());
             }
         };
-        match *op {
-            OP_PUSH => {
-                m.server_op_push.inc();
-                // Journal-then-apply via the shared write path: the
-                // frame is durable (to the journal's policy) before the
-                // ST_OK goes out; a malformed frame applies nothing.
-                match journal.ingest_frame(body, &mut scratch) {
-                    Ok(_) => {
-                        reply(&mut stream, m, &mut out, &[&[ST_OK]])?;
-                    }
-                    Err(e) => {
-                        // Reject the op, keep serving: framing is intact.
-                        reply_journal_err(&mut stream, m, &mut out, &e)?;
-                    }
-                }
-            }
-            OP_PUSH_SEQ => {
-                m.server_op_push_seq.inc();
-                if body.len() < 16 {
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[&[ST_ERR], b"push-seq needs a client id and a sequence"],
-                    )?;
-                    continue;
-                }
-                let client_id = u64::from_be_bytes(body[0..8].try_into().expect("8 bytes"));
-                let seq = u64::from_be_bytes(body[8..16].try_into().expect("8 bytes"));
-                let frame = &body[16..];
-                // The journal runs check-apply-record under one lock,
-                // so a retry racing a half-applied original observes
-                // the pair atomically.
-                match journal.ingest_sequenced(client_id, seq, frame, &mut scratch) {
-                    Ok(SeqIngest::Applied { .. }) => {
-                        reply(&mut stream, m, &mut out, &[&[ST_OK], b"applied"])?;
-                    }
-                    Ok(SeqIngest::Duplicate) => {
-                        m.server_dedup_hits.inc();
-                        reply(&mut stream, m, &mut out, &[&[ST_OK], b"duplicate"])?;
-                    }
-                    Err(e) => {
-                        reply_journal_err(&mut stream, m, &mut out, &e)?;
+        // Every request answered on a live connection lands in the
+        // latency histogram exactly once: arms that answer early leave
+        // the block, never the loop iteration.
+        'answered: {
+            match *op {
+                OP_PUSH => {
+                    m.server_op_push.inc();
+                    // Journal-then-apply via the shared write path: the
+                    // frame is durable (to the journal's policy) before the
+                    // ST_OK goes out; a malformed frame applies nothing.
+                    match journal.ingest_frame(body, &mut scratch) {
+                        Ok(_) => {
+                            reply(&mut stream, m, &mut out, &[&[ST_OK]])?;
+                        }
+                        Err(e) => {
+                            // Reject the op, keep serving: framing is intact.
+                            reply_journal_err(&mut stream, m, &mut out, &e)?;
+                        }
                     }
                 }
-            }
-            OP_PULL => {
-                m.server_op_pull.inc();
-                // Served from the generation-stamped cache: repeated
-                // pulls of an unchanged aggregate reuse one encoding.
-                let snapshot = aggregator.encoded_snapshot();
-                if snapshot.len() + 1 > config.max_frame_bytes {
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[&[ST_ERR], b"merged snapshot exceeds the frame limit"],
-                    )?;
-                } else {
-                    reply(&mut stream, m, &mut out, &[&[ST_OK], snapshot.as_slice()])?;
-                }
-            }
-            OP_PLAN => {
-                m.server_op_plan.inc();
-                // Served from the generation-keyed plan cache: an
-                // unchanged aggregate answers with identical bytes.
-                let plan = aggregator.encoded_plan();
-                if plan.len() + 1 > config.max_frame_bytes {
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[&[ST_ERR], b"fleet plan exceeds the frame limit"],
-                    )?;
-                } else {
-                    reply(&mut stream, m, &mut out, &[&[ST_OK], plan.as_slice()])?;
-                }
-            }
-            OP_PULL_CHUNK => {
-                m.server_op_pull_chunk.inc();
-                let Ok(page_bytes) = <[u8; 4]>::try_from(body) else {
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[&[ST_ERR], b"chunk request needs a 4-byte page index"],
-                    )?;
-                    continue;
-                };
-                let page = u32::from_be_bytes(page_bytes) as usize;
-                if page == 0 {
-                    chunk_capture = Some(aggregator.encoded_snapshot());
-                }
-                let Some(capture) = chunk_capture.clone() else {
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[
-                            &[ST_ERR],
-                            format!(
-                                "page {page} requested with no page-0 capture on this connection"
-                            )
-                            .as_bytes(),
-                        ],
-                    )?;
-                    continue;
-                };
-                let chunk_len = config
-                    .max_frame_bytes
-                    .saturating_sub(CHUNK_REPLY_OVERHEAD)
-                    .max(1);
-                let total = capture.len().div_ceil(chunk_len).max(1);
-                if page >= total {
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[
-                            &[ST_ERR],
-                            format!("page {page} out of range (total {total})").as_bytes(),
-                        ],
-                    )?;
-                } else {
-                    let lo = page * chunk_len;
-                    let hi = (lo + chunk_len).min(capture.len());
-                    reply(
-                        &mut stream,
-                        m,
-                        &mut out,
-                        &[
-                            &[ST_OK],
-                            &(total as u32).to_be_bytes(),
-                            &(page as u32).to_be_bytes(),
-                            &capture[lo..hi],
-                        ],
-                    )?;
-                    // The final page ends the sequence; a later page>0
-                    // must restart from page 0, never re-read a capture
-                    // from a prior snapshot generation.
-                    if page == total - 1 {
-                        chunk_capture = None;
+                OP_PUSH_SEQ => {
+                    m.server_op_push_seq.inc();
+                    if body.len() < 16 {
+                        reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[&[ST_ERR], b"push-seq needs a client id and a sequence"],
+                        )?;
+                        break 'answered;
+                    }
+                    let client_id = u64::from_be_bytes(body[0..8].try_into().expect("8 bytes"));
+                    let seq = u64::from_be_bytes(body[8..16].try_into().expect("8 bytes"));
+                    let frame = &body[16..];
+                    // The journal runs check-apply-record under one lock,
+                    // so a retry racing a half-applied original observes
+                    // the pair atomically.
+                    match journal.ingest_sequenced(client_id, seq, frame, &mut scratch) {
+                        Ok(SeqIngest::Applied { .. }) => {
+                            reply(&mut stream, m, &mut out, &[&[ST_OK], b"applied"])?;
+                        }
+                        Ok(SeqIngest::Duplicate) => {
+                            m.server_dedup_hits.inc();
+                            reply(&mut stream, m, &mut out, &[&[ST_OK], b"duplicate"])?;
+                        }
+                        Err(e) => {
+                            reply_journal_err(&mut stream, m, &mut out, &e)?;
+                        }
                     }
                 }
-            }
-            OP_STATS => {
-                m.server_op_stats.inc();
-                let s = aggregator.stats();
-                // The v1 keys stay first and unchanged; v2 appends the
-                // version marker and the dedup-table keys, so v1 parsers
-                // (which read `key=value` lines and skip unknown keys)
-                // keep working.
-                let usage = journal.dedup_usage();
-                let (dedup_clients, dedup_max_seq) = (usage.clients, usage.max_seq);
-                let text = format!(
-                    "frames={}\nrecords={}\nepoch={}\nedges={}\nshards={}\n\
-                     stats_version=2\ndedup_clients={dedup_clients}\ndedup_max_seq={dedup_max_seq}\n",
-                    s.frames,
-                    s.records,
-                    s.epoch,
-                    s.total_edges(),
-                    s.shard_edges.len(),
-                );
-                reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
-            }
-            OP_METRICS => {
-                m.server_op_metrics.inc();
-                // Scrape-time gauges: published here, not on the data
-                // path, so instantaneous sizes cost nothing per push.
-                let s = aggregator.stats();
-                m.agg_epoch.set(s.epoch as i64);
-                m.agg_edges.set(s.total_edges() as i64);
-                m.publish_shard_edges(&s.shard_edges);
-                m.server_dedup_clients
-                    .set(journal.dedup_usage().clients as i64);
-                let text = cbs_telemetry::global().render();
-                reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
-            }
-            OP_EPOCH => {
-                m.server_op_epoch.inc();
-                match journal.advance_epoch() {
-                    Ok(epoch) => reply(
+                OP_PLAN => {
+                    m.server_op_plan.inc();
+                    // Served from the generation-keyed plan cache: an
+                    // unchanged aggregate answers with identical bytes.
+                    let plan = aggregator.encoded_plan();
+                    if plan.len() + 1 > config.max_frame_bytes {
+                        reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[&[ST_ERR], b"fleet plan exceeds the frame limit"],
+                        )?;
+                    } else {
+                        reply(&mut stream, m, &mut out, &[&[ST_OK], plan.as_slice()])?;
+                    }
+                }
+                OP_PULL_CHUNK => {
+                    m.server_op_pull_chunk.inc();
+                    let Ok(page_bytes) = <[u8; 4]>::try_from(body) else {
+                        reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[&[ST_ERR], b"chunk request needs a 4-byte page index"],
+                        )?;
+                        break 'answered;
+                    };
+                    let page = u32::from_be_bytes(page_bytes) as usize;
+                    if page == 0 {
+                        chunk_capture = Some(aggregator.encoded_snapshot());
+                    }
+                    let Some(capture) = chunk_capture.clone() else {
+                        reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[
+                                &[ST_ERR],
+                                format!(
+                                    "page {page} requested with no page-0 capture on this connection"
+                                )
+                                .as_bytes(),
+                            ],
+                        )?;
+                        break 'answered;
+                    };
+                    let chunk_len = config
+                        .max_frame_bytes
+                        .saturating_sub(CHUNK_REPLY_OVERHEAD)
+                        .max(1);
+                    let total = capture.len().div_ceil(chunk_len).max(1);
+                    if page >= total {
+                        reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[
+                                &[ST_ERR],
+                                format!("page {page} out of range (total {total})").as_bytes(),
+                            ],
+                        )?;
+                    } else {
+                        let lo = page * chunk_len;
+                        let hi = (lo + chunk_len).min(capture.len());
+                        reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[
+                                &[ST_OK],
+                                &(total as u32).to_be_bytes(),
+                                &(page as u32).to_be_bytes(),
+                                &capture[lo..hi],
+                            ],
+                        )?;
+                        // The final page ends the sequence; a later page>0
+                        // must restart from page 0, never re-read a capture
+                        // from a prior snapshot generation.
+                        if page == total - 1 {
+                            chunk_capture = None;
+                        }
+                    }
+                }
+                OP_STATS => {
+                    m.server_op_stats.inc();
+                    let s = aggregator.stats();
+                    // The v1 keys stay first and unchanged; v2 appends the
+                    // version marker and the dedup-table keys, so v1 parsers
+                    // (which read `key=value` lines and skip unknown keys)
+                    // keep working.
+                    let usage = journal.dedup_usage();
+                    let (dedup_clients, dedup_max_seq) = (usage.clients, usage.max_seq);
+                    let text = format!(
+                        "frames={}\nrecords={}\nepoch={}\nedges={}\nshards={}\n\
+                         stats_version=2\ndedup_clients={dedup_clients}\ndedup_max_seq={dedup_max_seq}\n",
+                        s.frames,
+                        s.records,
+                        s.epoch,
+                        s.total_edges(),
+                        s.shard_edges.len(),
+                    );
+                    reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
+                }
+                OP_METRICS => {
+                    m.server_op_metrics.inc();
+                    // Scrape-time gauges: published here, not on the data
+                    // path, so instantaneous sizes cost nothing per push.
+                    let s = aggregator.stats();
+                    m.agg_epoch.set(s.epoch as i64);
+                    m.agg_edges.set(s.total_edges() as i64);
+                    m.publish_shard_edges(&s.shard_edges);
+                    m.server_dedup_clients
+                        .set(journal.dedup_usage().clients as i64);
+                    let text = cbs_telemetry::global().render();
+                    reply(&mut stream, m, &mut out, &[&[ST_OK], text.as_bytes()])?;
+                }
+                OP_EPOCH => {
+                    m.server_op_epoch.inc();
+                    match journal.advance_epoch() {
+                        Ok(epoch) => reply(
+                            &mut stream,
+                            m,
+                            &mut out,
+                            &[&[ST_OK], epoch.to_string().as_bytes()],
+                        )?,
+                        Err(e) => reply_journal_err(&mut stream, m, &mut out, &e)?,
+                    }
+                }
+                other => {
+                    let _ = reply(
                         &mut stream,
                         m,
                         &mut out,
-                        &[&[ST_OK], epoch.to_string().as_bytes()],
-                    )?,
-                    Err(e) => reply_journal_err(&mut stream, m, &mut out, &e)?,
+                        &[&[ST_ERR], format!("unknown op {other}").as_bytes()],
+                    );
+                    return Ok(());
                 }
-            }
-            other => {
-                let _ = reply(
-                    &mut stream,
-                    m,
-                    &mut out,
-                    &[&[ST_ERR], format!("unknown op {other}").as_bytes()],
-                );
-                return Ok(());
             }
         }
         m.server_handler_latency_us
@@ -662,7 +644,7 @@ mod tests {
             PushOutcome::Duplicate,
             "retry of an applied sequence must be acknowledged, not re-applied"
         );
-        let fleet = client.pull().expect("pull");
+        let fleet = client.pull_chunked().expect("pull");
         assert_eq!(fleet.weight(&edge), 2.0, "the duplicate was not re-applied");
         server.shutdown();
     }
@@ -718,7 +700,7 @@ mod tests {
             PushOutcome::Applied,
             "evicted client is treated as new"
         );
-        let fleet = client.pull().expect("pull");
+        let fleet = client.pull_chunked().expect("pull");
         assert_eq!(
             fleet.weight(&edge),
             (3 * cap + 1) as f64,
@@ -753,5 +735,23 @@ mod tests {
                 "client {i}: {reply:?}"
             );
         }
+    }
+
+    /// Op code 2, the retired single-frame pull, is unassigned: the
+    /// server answers it like any unknown op and closes the connection.
+    #[test]
+    fn retired_op_2_is_answered_as_an_unknown_op() {
+        let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(2)));
+        let server = serve("127.0.0.1:0", agg, NetConfig::default()).expect("binds");
+        let mut raw = TcpStream::connect(server.addr()).expect("connects");
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("timeout");
+        write_msg(&mut raw, &[&[2]]).expect("request sent");
+        let reply = read_msg(&mut raw, 1 << 20)
+            .expect("reply is well-framed")
+            .expect("answered, not dropped");
+        assert_eq!(reply, [&[ST_ERR][..], b"unknown op 2"].concat());
+        assert_eq!(read_msg(&mut raw, 1 << 20).expect("clean close"), None);
+        server.shutdown();
     }
 }

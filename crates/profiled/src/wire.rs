@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! request  := OP_PUSH       | codec frame     -- fold a frame in
-//!           | OP_PULL                          -- fetch merged snapshot
 //!           | OP_STATS                         -- fetch ingestion counters
 //!           | OP_EPOCH                         -- advance the decay epoch
 //!           | OP_PULL_CHUNK | u32 page (BE)    -- fetch one snapshot page
@@ -17,14 +16,19 @@
 //!           | ST_ERR   | utf-8 reason
 //! ```
 //!
-//! `OP_PULL_CHUNK` pages a merged snapshot whose encoding exceeds
-//! `max_frame_bytes`: the reply payload is
-//! `u32 total_pages (BE) | u32 page (BE) | chunk bytes`, and
-//! concatenating the chunks of pages `0..total_pages` yields the exact
-//! snapshot frame `OP_PULL` would have carried. Requesting page 0
-//! (re)captures a consistent snapshot for the connection; later pages
-//! are served from that capture, so pagination never observes a torn
-//! merge.
+//! Op code 2 is retired: it was a single-frame pull, which page 0 of
+//! `OP_PULL_CHUNK` already serves whenever the snapshot fits one frame.
+//! The server answers it like any unassigned code (`ST_ERR unknown op
+//! 2`, then a close), and it is never reassigned — the wire has no
+//! version field that could tell an old client the code changed.
+//!
+//! `OP_PULL_CHUNK` is the one pull: the reply payload is
+//! `u32 total_pages (BE) | u32 page (BE) | chunk bytes`, pages are sized
+//! to fit `max_frame_bytes`, and concatenating the chunks of pages
+//! `0..total_pages` yields the canonical snapshot frame of the merged
+//! profile. Requesting page 0 (re)captures a consistent snapshot for
+//! the connection; later pages are served from that capture, so
+//! pagination never observes a torn merge.
 //!
 //! `OP_PUSH_SEQ` is the exactly-once push used by the resilient client:
 //! the server remembers the highest sequence applied per client id and
@@ -41,8 +45,6 @@ use std::io::{self, Read, Write};
 
 /// Push one codec frame (body: the frame bytes).
 pub const OP_PUSH: u8 = 1;
-/// Request the merged snapshot (no body; response body: snapshot frame).
-pub const OP_PULL: u8 = 2;
 /// Request ingestion counters (no body; response body: `key=value` lines).
 pub const OP_STATS: u8 = 3;
 /// Advance the epoch clock (no body; response body: new epoch, decimal).
@@ -152,20 +154,40 @@ pub fn read_msg_into(
     Ok(Some(len))
 }
 
+/// Frames `parts` (concatenated) as one length-prefixed message into
+/// `out`, replacing its contents and keeping its capacity.
+///
+/// # Errors
+///
+/// A combined length above `u32::MAX`.
+pub(crate) fn frame_msg(out: &mut Vec<u8>, parts: &[&[u8]]) -> io::Result<()> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let len32 = u32::try_from(len)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "message exceeds u32 length"))?;
+    out.clear();
+    out.reserve(4 + len);
+    out.extend_from_slice(&len32.to_be_bytes());
+    for p in parts {
+        out.extend_from_slice(p);
+    }
+    Ok(())
+}
+
 /// Writes one length-prefixed message built from `parts` (concatenated),
 /// flushing afterwards.
+///
+/// The message goes out in one `write_all`. A peer that has closed the
+/// connection after a refusal answers the first bytes it receives with
+/// a reset, so a message written in pieces can fail on a later piece
+/// before the refusal waiting in the receive buffer is read.
 ///
 /// # Errors
 ///
 /// I/O failures, and a combined length above `u32::MAX`.
 pub fn write_msg(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    let len32 = u32::try_from(len)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "message exceeds u32 length"))?;
-    w.write_all(&len32.to_be_bytes())?;
-    for p in parts {
-        w.write_all(p)?;
-    }
+    let mut msg = Vec::new();
+    frame_msg(&mut msg, parts)?;
+    w.write_all(&msg)?;
     w.flush()
 }
 

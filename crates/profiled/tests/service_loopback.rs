@@ -45,7 +45,7 @@ fn snapshot_plus_100_deltas_reconstructs_bit_identically() {
         client.push_delta(&increments).expect("delta accepted");
     }
 
-    let pulled = client.pull().expect("pull succeeds");
+    let pulled = client.pull_chunked().expect("pull succeeds");
     let merged = server.aggregator().merged_snapshot();
     assert_eq!(pulled, merged);
     assert_eq!(pulled.num_edges(), merged.num_edges());
@@ -254,9 +254,9 @@ fn epoch_advance_decays_the_fleet_profile() {
         16.0,
     );
     client.push_snapshot(&g).expect("accepted");
-    assert_eq!(client.pull().expect("pull").total_weight(), 16.0);
+    assert_eq!(client.pull_chunked().expect("pull").total_weight(), 16.0);
     assert_eq!(client.advance_epoch().expect("epoch"), 1);
     assert_eq!(client.advance_epoch().expect("epoch"), 2);
-    assert_eq!(client.pull().expect("pull").total_weight(), 4.0);
+    assert_eq!(client.pull_chunked().expect("pull").total_weight(), 4.0);
     server.shutdown();
 }

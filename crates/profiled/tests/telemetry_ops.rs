@@ -8,10 +8,14 @@
 
 use cbs_bytecode::{CallSiteId, MethodId};
 use cbs_dcg::{CallEdge, DynamicCallGraph};
+use cbs_profiled::wire::{
+    read_msg, write_msg, OP_EPOCH, OP_METRICS, OP_PULL_CHUNK, OP_PUSH_SEQ, ST_ERR, ST_OK,
+};
 use cbs_profiled::{
     serve, AggregatorConfig, DcgCodec, NetConfig, ProfileClient, PushOutcome, ShardedAggregator,
 };
 use cbs_telemetry::parse_counter;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 fn edge(caller: u32, callee: u32) -> CallEdge {
@@ -53,7 +57,7 @@ fn op_metrics_scrape_reports_exact_counters_and_is_inert() {
         PushOutcome::Duplicate
     );
 
-    let pulled = client.pull().expect("pull succeeds");
+    let pulled = client.pull_chunked().expect("pull succeeds");
     assert_eq!(pulled.num_edges(), 4);
 
     let stats = client.stats_text().expect("stats succeed");
@@ -67,9 +71,12 @@ fn op_metrics_scrape_reports_exact_counters_and_is_inert() {
     pin(&text, "profiled.server.connections", 1);
     pin(&text, "profiled.server.op.push", 1);
     pin(&text, "profiled.server.op.push_seq", 2);
-    pin(&text, "profiled.server.op.pull", 1);
+    pin(&text, "profiled.server.op.pull_chunk", 1);
     pin(&text, "profiled.server.op.stats", 1);
     pin(&text, "profiled.server.op.metrics", 1);
+    // The five requests before the scrape; the scrape itself is timed
+    // after its reply is rendered.
+    assert_eq!(handler_latency_count(&text), 5, "got:\n{text}");
     pin(&text, "profiled.server.dedup_hits", 1);
     pin(&text, "profiled.server.err_replies", 0);
     pin(&text, "profiled.server.bad_frames", 0);
@@ -101,7 +108,7 @@ fn op_metrics_scrape_reports_exact_counters_and_is_inert() {
         client2.push_seq(7, 1, &delta).expect("push applies"),
         PushOutcome::Applied
     );
-    let pulled2 = client2.pull().expect("pull succeeds");
+    let pulled2 = client2.pull_chunked().expect("pull succeeds");
     cbs_telemetry::global().set_enabled(true);
 
     assert_eq!(pulled, pulled2, "telemetry changed the merged profile");
@@ -116,4 +123,63 @@ fn op_metrics_scrape_reports_exact_counters_and_is_inert() {
     pin(&text3, "profiled.server.op.push_seq", 2);
     pin(&text3, "profiled.server.connections", 1);
     server2.shutdown();
+
+    handler_latency_counts_every_answered_request();
+}
+
+/// The `count=` of the handler-latency histogram in an exposition.
+fn handler_latency_count(exposition: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|l| l.strip_prefix("histogram profiled.server.handler_latency_us count="))
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no handler-latency histogram in:\n{exposition}"))
+}
+
+/// Sum of every `profiled.server.op.*` counter in an exposition.
+fn op_count(exposition: &str) -> u64 {
+    exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("counter profiled.server.op."))
+        .map(|rest| {
+            let value = rest.rsplit(' ').next().expect("counter value");
+            value.parse::<u64>().expect("counter value")
+        })
+        .sum()
+}
+
+/// Regression: every request the server answers without closing the
+/// connection lands in `profiled.server.handler_latency_us` exactly
+/// once. A short `OP_PUSH_SEQ` body, a malformed page index and a
+/// later page with no page-0 capture were answered `ST_ERR` but skipped
+/// the histogram. Runs inside the one test above, which owns the
+/// process-global registry; the histogram and the op counters have
+/// moved in step since the registry was created, so the scrape must
+/// count one request less than the op counters (itself).
+fn handler_latency_counts_every_answered_request() {
+    let agg = Arc::new(ShardedAggregator::new(AggregatorConfig::with_shards(2)));
+    let server = serve("127.0.0.1:0", agg, NetConfig::default()).expect("binds");
+    let mut raw = TcpStream::connect(server.addr()).expect("connects");
+    let mut ask = |request: &[&[u8]]| -> Vec<u8> {
+        write_msg(&mut raw, request).expect("request sent");
+        read_msg(&mut raw, 1 << 20)
+            .expect("reply readable")
+            .expect("answered, not dropped")
+    };
+    for request in [
+        &[&[OP_PUSH_SEQ][..], &[0; 8]][..],
+        &[&[OP_PULL_CHUNK], &[0; 3]],
+        &[&[OP_PULL_CHUNK], &1u32.to_be_bytes()],
+    ] {
+        assert_eq!(ask(request)[0], ST_ERR);
+    }
+    assert_eq!(ask(&[&[OP_EPOCH]]), [&[ST_OK][..], b"1"].concat());
+    let text = String::from_utf8(ask(&[&[OP_METRICS]])[1..].to_vec()).expect("utf-8");
+    assert_eq!(
+        handler_latency_count(&text),
+        op_count(&text) - 1,
+        "got:\n{text}"
+    );
+    server.shutdown();
 }

@@ -15,7 +15,7 @@ use cbs_profiled::{
 };
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn edge(rng: &mut SmallRng) -> CallEdge {
@@ -181,7 +181,7 @@ fn request_truncation_and_oversized_replies_are_survivable() {
         ..config
     };
     let mut small_client = ProfileClient::connect(server.addr(), tiny).expect("connects");
-    match small_client.pull() {
+    match small_client.pull_chunked() {
         Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
         other => panic!("over-limit reply must be refused: {other:?}"),
     }
@@ -223,8 +223,7 @@ fn sequenced_pushes_are_exactly_once() {
 
 /// Chunked PULL: a merged snapshot larger than `max_frame_bytes`
 /// degrades into multiple pages that reassemble bit-identically to the
-/// in-process merged snapshot, while the single-frame `OP_PULL` path
-/// refuses (frame limit) without killing the connection.
+/// in-process merged snapshot.
 #[test]
 fn chunked_pull_reassembles_an_oversized_snapshot_bit_identically() {
     let config = NetConfig {
@@ -247,13 +246,8 @@ fn chunked_pull_reassembles_an_oversized_snapshot_bit_identically() {
             .expect("slice fits the frame limit");
     }
 
-    // The whole snapshot does not fit one frame…
-    match client.pull() {
-        Err(ClientError::Server(msg)) => assert!(msg.contains("frame limit"), "{msg}"),
-        other => panic!("single-frame pull must hit the frame limit: {other:?}"),
-    }
-    // …but the paged pull reassembles it exactly, on the same
-    // connection (the refusal did not poison).
+    // The whole snapshot does not fit one frame, but the paged pull
+    // reassembles it exactly.
     let (pulled, pages) = client.pull_chunked_counted().expect("chunked pull");
     assert!(pages > 1, "snapshot must have spanned multiple pages");
     let merged = server.aggregator().merged_snapshot();
@@ -462,5 +456,41 @@ fn resilient_pull_retries_through_faults() {
     let pulled = client.pull().expect("retried to success");
     assert_eq!(pulled, vm);
     assert!(client.stats().retries >= 5);
+    server.shutdown();
+}
+
+/// Regression: a busy refusal closes the refused connection, so the
+/// epoch retry must reconnect instead of reusing the closed socket,
+/// where the request met a connection reset and the epoch call failed.
+#[test]
+fn epoch_advance_reconnects_after_a_busy_refusal() {
+    let config = NetConfig {
+        max_inflight: 1,
+        ..fast_config()
+    };
+    let server = start_server(config);
+    // Hold the only admission slot; one exchange proves the server has
+    // admitted this connection.
+    let mut holder = ProfileClient::connect(server.addr(), config).expect("connects");
+    holder.stats_text().expect("served");
+    let held = Arc::new(Mutex::new(Some(holder)));
+    let release = Arc::clone(&held);
+    let mut client =
+        ResilientClient::connect_tcp(server.addr().to_string(), config, RetryPolicy::default(), 1)
+            .with_sleep(Box::new(move |_| {
+                // The first backoff frees the slot; every backoff leaves the
+                // server a moment to see the holder's close.
+                drop(release.lock().expect("holder lock").take());
+                std::thread::sleep(Duration::from_millis(20));
+            }));
+    assert_eq!(
+        client
+            .advance_epoch()
+            .expect("retried on a fresh connection"),
+        1
+    );
+    assert!(client.stats().retries >= 1, "the first attempt was refused");
+    assert!(held.lock().expect("holder lock").is_none());
+    assert_eq!(server.aggregator().epoch(), 1);
     server.shutdown();
 }

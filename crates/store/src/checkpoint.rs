@@ -3,7 +3,7 @@
 //!
 //! A checkpoint captures, in one critical section with the WAL
 //! rotation, the merged graph (as the codec's encoded snapshot — the
-//! same bit-exact bytes `OP_PULL` serves), the decay epoch, the
+//! same bit-exact bytes a pull serves), the decay epoch, the
 //! aggregator's lifetime frame/record counters, the full dedup table
 //! (entries *and* the touch counter, so eviction decisions replay
 //! bit-for-bit), and the sequence number of the first WAL segment whose

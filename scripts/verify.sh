@@ -51,7 +51,6 @@ for key in records frames wire_bytes; do
     || { echo "FAIL: $BENCH_JSON missing positive \"$key\"" >&2; exit 1; }
 done
 for cfg in codec/encode codec/decode \
-           aggregate/shards=1/serial aggregate/shards=4/serial aggregate/shards=8/serial \
            aggregate/shards=4/streaming aggregate/shards=8/streaming \
            pull/rebuild pull/cached wal/append wal/append_concurrent \
            wal/append_single_lock recovery/replay; do
@@ -143,17 +142,23 @@ grep -q '^m3 s0 weight=100 direct m1$' "$SMOKE_DIR/plan1.txt" \
        cat "$SMOKE_DIR/plan1.txt" >&2; exit 1; }
 
 echo "==> profiled telemetry smoke (OP_METRICS scrape matches the traffic above)"
-# Exactly one push, one pull, and two plan pulls (one cache miss + one
-# hit) were issued against this server, so the scraped counters must
-# agree; the scrape itself is timeout-bounded.
+# Exactly one push, one pull (one OP_PULL_CHUNK page), and two plan
+# pulls (one cache miss + one hit) were issued against this server, so
+# the scraped counters must agree; the scrape itself is timeout-bounded.
 timeout 60 "$DCGTOOL" metrics "$ADDR" > "$SMOKE_DIR/metrics.txt"
 head -n 1 "$SMOKE_DIR/metrics.txt" | grep -q '^# cbs-telemetry v1$' \
   || { echo "FAIL: metrics exposition missing its version header" >&2; exit 1; }
 grep -q '^counter profiled\.server\.op\.push 1$' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: push counter does not match the one push issued" >&2;
        cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
-grep -q '^counter profiled\.server\.op\.pull 1$' "$SMOKE_DIR/metrics.txt" \
-  || { echo "FAIL: pull counter does not match the one pull issued" >&2;
+grep -q '^counter profiled\.server\.op\.pull_chunk 1$' "$SMOKE_DIR/metrics.txt" \
+  || { echo "FAIL: pull_chunk counter does not match the one pull issued" >&2;
+       cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
+# Every request answered before the scrape is timed exactly once: the
+# push and the stats read-back that follows it, the pull and the two
+# plan pulls (the scrape is timed after its own reply is rendered).
+grep -q '^histogram profiled\.server\.handler_latency_us count=5 ' "$SMOKE_DIR/metrics.txt" \
+  || { echo "FAIL: handler-latency count does not match the five requests before the scrape" >&2;
        cat "$SMOKE_DIR/metrics.txt" >&2; exit 1; }
 grep -q '^counter profiled\.server\.op\.plan 2$' "$SMOKE_DIR/metrics.txt" \
   || { echo "FAIL: plan counter does not match the two plan pulls issued" >&2;

@@ -40,7 +40,7 @@ fn real_vm_profiles_round_trip_through_the_service() {
         client.push_snapshot(p).expect("accepted");
     }
 
-    let pulled = client.pull().expect("pull succeeds");
+    let pulled = client.pull_chunked().expect("pull succeeds");
     let merged = server.aggregator().merged_snapshot();
     assert_eq!(pulled, merged, "wire round-trip is lossless");
     for (e, w) in merged.iter() {
