@@ -16,6 +16,8 @@
 //!   count governs lock contention;
 //! * `pull/rebuild` — a merged-snapshot pull whose cache was just
 //!   invalidated (epoch advance), i.e. the full lock-merge-encode cost;
+//! * `plan/rebuild` — the fleet plan (`encoded_plan`) after a one-record
+//!   push invalidated both caches: merge, snapshot encode and plan build;
 //! * `pull/cached` — the same pull against a warm generation-stamped
 //!   cache (the repeated-pull fast path, O(1) per request);
 //! * `wal/append` — the durable-store write path (4 shards, WAL append
@@ -191,8 +193,10 @@ fn main() {
     // Pull-side costs against a fully loaded 8-shard aggregator:
     // `pull/rebuild` pays the lock-merge-encode path every iteration
     // (decay is 1.0, so the epoch advance changes no weight — it only
-    // invalidates the cache); `pull/cached` measures the steady-state
-    // hit path repeated pulls ride.
+    // invalidates the cache); `plan/rebuild` is an `OP_PLAN` after a
+    // one-record push, which pays that path plus the plan build;
+    // `pull/cached` measures the steady-state hit path repeated pulls
+    // ride.
     let loaded = ShardedAggregator::new(AggregatorConfig::with_shards(8));
     {
         let mut scratch = IngestScratch::new();
@@ -210,6 +214,17 @@ fn main() {
         })
         .clone();
     entries.push(json_entry("pull/rebuild", snapshot_edges, &rebuild));
+    let bump = DcgCodec::encode_delta(&records[..1]);
+    let mut bump_scratch = IngestScratch::new();
+    let plan_rebuild = group
+        .bench("plan/rebuild", || {
+            loaded
+                .ingest_frame_bytes(&bump, &mut bump_scratch)
+                .expect("own encoding ingests");
+            loaded.encoded_plan().len()
+        })
+        .clone();
+    entries.push(json_entry("plan/rebuild", snapshot_edges, &plan_rebuild));
     let cached = group
         .bench("pull/cached", || loaded.encoded_snapshot().len())
         .clone();

@@ -74,6 +74,41 @@ impl DynamicCallGraph {
         Self::default()
     }
 
+    /// Builds a graph from records already in strictly ascending edge
+    /// order — a decoded frame, or a merge of sealed sorted runs.
+    ///
+    /// Bit-identical to calling [`record`](Self::record) once per
+    /// record, in order (invalid weights skipped, the total summed in
+    /// record order from `+0.0`), but every slot is appended straight
+    /// onto the sorted permutation: no ordered insertion, no seal.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the edges are not strictly ascending.
+    pub fn from_sorted(records: &[(CallEdge, f64)]) -> Self {
+        debug_assert!(
+            records.windows(2).all(|p| p[0].0 < p[1].0),
+            "from_sorted needs strictly ascending edges"
+        );
+        let mut g = Self::new();
+        g.index.reserve(records.len());
+        g.edges.reserve(records.len());
+        g.weights.reserve(records.len());
+        g.sorted.reserve(records.len());
+        for &(edge, weight) in records {
+            if weight <= 0.0 || !weight.is_finite() {
+                continue;
+            }
+            let slot = g.edges.len() as u32;
+            g.index.insert(edge, slot);
+            g.edges.push(edge);
+            g.weights.push(weight);
+            g.sorted.push(slot);
+            g.total += weight;
+        }
+        g
+    }
+
     /// Adds `weight` to `edge`'s slot, interning a new slot if needed.
     /// Does not touch `total`; callers keep it consistent.
     fn bump(&mut self, edge: CallEdge, weight: f64) {
@@ -678,6 +713,36 @@ mod tests {
             single.total_weight().to_bits()
         );
         assert_eq!(split, single);
+    }
+
+    #[test]
+    fn from_sorted_is_bit_identical_to_per_record_recording() {
+        let records: Vec<(CallEdge, f64)> = (0..300u32)
+            .map(|i| {
+                let w = match i % 6 {
+                    0 => 0.1 * f64::from(i) + 1e-3,
+                    1 => -2.0,     // ignored
+                    2 => f64::NAN, // ignored
+                    3 => 0.0,      // ignored
+                    _ => f64::from(i % 9 + 1),
+                };
+                (e(i / 12, i / 4 % 3, i % 4), w)
+            })
+            .collect();
+        let sorted = DynamicCallGraph::from_sorted(&records);
+        let mut single = DynamicCallGraph::new();
+        for &(edge, w) in &records {
+            single.record(edge, w);
+        }
+        assert_eq!(sorted, single);
+        assert_eq!(
+            sorted.total_weight().to_bits(),
+            single.total_weight().to_bits()
+        );
+        assert_eq!(sorted.weight(&records[4].0), records[4].1);
+        let empty = DynamicCallGraph::from_sorted(&[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.total_weight().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -62,7 +62,10 @@ mod policy;
 mod transform;
 
 pub use compile::CompileTimeModel;
-pub use plan::{apply_plan, build_plan, plan_round_from_plan, InlinePlan, PlanEntry, PlanKind};
+pub use plan::{
+    apply_plan, build_plan, build_plan_from_sorted, plan_round_from_plan, InlinePlan, PlanEntry,
+    PlanKind,
+};
 pub use planner::{inline_program, plan_round, InlineReport, TRIVIAL_SIZE};
 pub use policies::{J9Policy, NewLinearPolicy, OldJikesPolicy, TrivialOnlyPolicy};
 pub use policy::{DirectContext, InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};

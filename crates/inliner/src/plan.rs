@@ -23,9 +23,9 @@ use crate::planner::{apply_round, guard_classes, InlineReport, TRIVIAL_SIZE};
 use crate::policy::{DirectContext, InlineBudget, InlinePolicy, VirtualContext, VirtualTarget};
 use crate::transform::{InlineDecision, InlineKind};
 use cbs_bytecode::{CallSiteId, ClassId, MethodId, Op, Program};
-use cbs_dcg::DynamicCallGraph;
+use cbs_dcg::{CallEdge, DynamicCallGraph};
 use cbs_opt::Optimizer;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// What the fleet policy decided for one call site.
@@ -115,7 +115,19 @@ impl InlinePlan {
     }
 }
 
-/// Builds a fleet plan from a pooled call graph.
+/// Builds a fleet plan from a pooled call graph: [`build_plan_from_sorted`]
+/// over the graph's ascending-edge records and its total weight.
+pub fn build_plan(
+    graph: &DynamicCallGraph,
+    policy: &dyn InlinePolicy,
+    generation: u64,
+) -> InlinePlan {
+    let records: Vec<(CallEdge, f64)> = graph.iter().map(|(e, w)| (*e, w)).collect();
+    build_plan_from_sorted(&records, graph.total_weight(), policy, generation)
+}
+
+/// Builds a fleet plan from `(edge, weight)` records in strictly
+/// ascending edge order, with `total_weight` their graph's total.
 ///
 /// Runs the receiver-distribution half of `policy` (the 40% rule) per
 /// site. Size thresholds cannot be checked here — the daemon has no
@@ -123,83 +135,110 @@ impl InlinePlan {
 /// re-runs the policy with real sizes. Sites whose pooled weight is not
 /// positive, and polymorphic sites where the policy selects no target,
 /// are omitted.
-pub fn build_plan(
-    graph: &DynamicCallGraph,
+///
+/// Edge order is (caller, site, callee), so each site's receivers are
+/// one consecutive run of the records, in callee order, and the runs
+/// come in `(caller, site)` order: one pass over the runs yields the
+/// entries already sorted.
+///
+/// # Panics
+///
+/// Panics (debug builds) if the edges are not strictly ascending.
+pub fn build_plan_from_sorted(
+    records: &[(CallEdge, f64)],
+    total_weight: f64,
     policy: &dyn InlinePolicy,
     generation: u64,
 ) -> InlinePlan {
-    let total_weight = graph.total_weight();
-    // Group edges by (caller, site); BTreeMaps give the deterministic
-    // (caller, site) entry order and per-site callee order.
-    let mut sites: BTreeMap<(MethodId, CallSiteId), BTreeMap<MethodId, f64>> = BTreeMap::new();
-    for (e, w) in graph.iter() {
-        if w <= 0.0 {
-            continue;
-        }
-        *sites
-            .entry((e.caller, e.site))
-            .or_default()
-            .entry(e.callee)
-            .or_insert(0.0) += w;
-    }
-    let mut entries = Vec::new();
-    for ((caller, site), callees) in sites {
-        let site_weight: f64 = callees.values().sum();
-        if site_weight <= 0.0 {
-            continue;
-        }
-        let mut dist: Vec<(MethodId, f64)> = callees.into_iter().collect();
-        dist.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("weights are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        let kind = if dist.len() == 1 {
-            PlanKind::Direct { callee: dist[0].0 }
-        } else {
-            let ctx = VirtualContext {
-                targets: dist
-                    .iter()
-                    .map(|(m, w)| VirtualTarget {
-                        callee: *m,
-                        callee_size: 0, // no program on the server
-                        fraction: w / site_weight,
-                    })
-                    .collect(),
-                site_weight_pct: if total_weight > 0.0 {
-                    100.0 * site_weight / total_weight
-                } else {
-                    0.0
-                },
-                caller_size: 0,
-                profiled: true,
-            };
-            let chosen = policy.guarded_targets(&ctx);
-            let weight_of =
-                |m: MethodId| dist.iter().find(|(c, _)| *c == m).map_or(0.0, |(_, w)| *w);
-            match chosen.len() {
-                0 => continue,
-                1 => PlanKind::Devirtualize {
-                    callee: chosen[0],
-                    weight: weight_of(chosen[0]),
-                },
-                _ => PlanKind::Guarded {
-                    targets: chosen.into_iter().map(|m| (m, weight_of(m))).collect(),
-                },
-            }
-        };
-        entries.push(PlanEntry {
-            caller,
-            site,
-            site_weight,
-            kind,
-        });
-    }
+    debug_assert!(
+        records.windows(2).all(|p| p[0].0 < p[1].0),
+        "build_plan_from_sorted needs strictly ascending edges"
+    );
+    let mut dist: Vec<(MethodId, f64)> = Vec::new();
+    let entries = records
+        .chunk_by(|a, b| (a.0.caller, a.0.site) == (b.0.caller, b.0.site))
+        .filter_map(|run| {
+            dist.clear();
+            dist.extend(
+                run.iter()
+                    .filter(|r| r.1 > 0.0)
+                    .map(|(e, w)| (e.callee, *w)),
+            );
+            site_entry(
+                run[0].0.caller,
+                run[0].0.site,
+                &mut dist,
+                total_weight,
+                policy,
+            )
+        })
+        .collect();
     InlinePlan {
         generation,
         total_weight,
         entries,
     }
+}
+
+/// The plan entry for one site from its receivers `dist` (callee
+/// order on entry; reordered heaviest first), or `None` when the site
+/// is omitted.
+fn site_entry(
+    caller: MethodId,
+    site: CallSiteId,
+    dist: &mut [(MethodId, f64)],
+    total_weight: f64,
+    policy: &dyn InlinePolicy,
+) -> Option<PlanEntry> {
+    // Summed in callee order, before the reorder below.
+    let site_weight: f64 = dist.iter().map(|(_, w)| w).sum();
+    if site_weight <= 0.0 {
+        return None;
+    }
+    dist.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("weights are finite")
+            .then(a.0.cmp(&b.0))
+    });
+    let kind = if dist.len() == 1 {
+        PlanKind::Direct { callee: dist[0].0 }
+    } else {
+        let ctx = VirtualContext {
+            targets: dist
+                .iter()
+                .map(|(m, w)| VirtualTarget {
+                    callee: *m,
+                    callee_size: 0, // no program on the server
+                    fraction: w / site_weight,
+                })
+                .collect(),
+            site_weight_pct: if total_weight > 0.0 {
+                100.0 * site_weight / total_weight
+            } else {
+                0.0
+            },
+            caller_size: 0,
+            profiled: true,
+        };
+        let chosen = policy.guarded_targets(&ctx);
+        let weight_of = |m: MethodId| dist.iter().find(|(c, _)| *c == m).map_or(0.0, |(_, w)| *w);
+        match chosen.len() {
+            0 => return None,
+            1 => PlanKind::Devirtualize {
+                callee: chosen[0],
+                weight: weight_of(chosen[0]),
+            },
+            _ => PlanKind::Guarded {
+                targets: chosen.into_iter().map(|m| (m, weight_of(m))).collect(),
+            },
+        }
+    };
+    Some(PlanEntry {
+        caller,
+        site,
+        site_weight,
+        kind,
+    })
 }
 
 /// Computes one round of inlining decisions from a fleet plan instead of
@@ -439,7 +478,6 @@ mod tests {
     use super::*;
     use crate::policies::NewLinearPolicy;
     use cbs_bytecode::{ProgramBuilder, VirtualSlot};
-    use cbs_dcg::CallEdge;
     use cbs_vm::{Value, Vm, VmConfig};
 
     fn edge(caller: u32, site: u32, callee: u32) -> CallEdge {

@@ -24,10 +24,11 @@
 //!
 //! Consistency: [`merged_snapshot`] locks all shards (in index order —
 //! every multi-shard path uses that order, so there is no lock-order
-//! inversion), brings each to the current epoch, and merges serially in
-//! shard order. The result is a true cut: it contains exactly the frames
-//! ingested before the lock sweep completed, and two snapshots of the
-//! same ingestion history are bit-identical.
+//! inversion), brings each to the current epoch, seals it, and k-way
+//! merges the shards' sorted runs. The result is a true cut: it
+//! contains exactly the frames ingested before the lock sweep
+//! completed, and two snapshots of the same ingestion history are
+//! bit-identical.
 //!
 //! [`partition_frame`]: ShardedAggregator::partition_frame
 //! [`apply_partitioned`]: ShardedAggregator::apply_partitioned
@@ -36,11 +37,14 @@
 //! [`merged_snapshot`]: ShardedAggregator::merged_snapshot
 
 use crate::codec::{CodecError, DcgCodec, FrameKind};
-use crate::metrics::ProfiledMetrics;
+use crate::metrics::{elapsed_us, ProfiledMetrics};
 use cbs_bytecode::MethodId;
 use cbs_dcg::{CallEdge, DynamicCallGraph};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 /// Reusable scratch for partitioning a frame's records into per-shard
 /// buckets.
@@ -108,8 +112,19 @@ struct Shard {
     epoch: u64,
 }
 
-/// A merged snapshot (graph + its canonical encoding) stamped with the
-/// generation it was built from.
+/// One merged snapshot: the shards' sealed runs merged into ascending
+/// edge order, their total, and the canonical encoding. The graph form
+/// is built from the records only when a caller asks for it.
+#[derive(Debug)]
+struct MergedSnapshot {
+    records: Vec<(CallEdge, f64)>,
+    /// The in-order sum of `records`' weights — `merge_all`'s total.
+    total: f64,
+    encoded: Arc<Vec<u8>>,
+    graph: OnceLock<Arc<DynamicCallGraph>>,
+}
+
+/// A [`MergedSnapshot`] stamped with the generation it was built from.
 ///
 /// The stamp is read *before* the shard sweep that builds the snapshot,
 /// while mutators bump the generation *after* applying their records —
@@ -120,8 +135,7 @@ struct Shard {
 #[derive(Debug)]
 struct SnapshotCache {
     generation: u64,
-    graph: Arc<DynamicCallGraph>,
-    encoded: Arc<Vec<u8>>,
+    snapshot: Arc<MergedSnapshot>,
 }
 
 /// The encoded fleet inlining plan stamped with the generation it was
@@ -382,16 +396,19 @@ impl ShardedAggregator {
         self.records.store(records, Ordering::Relaxed);
     }
 
-    /// Builds a merged snapshot from the live shards: all shards locked
-    /// (index order), decayed to the current epoch, sealed, and merged
-    /// in shard order.
+    /// Merges the live shards into one ascending run of records: all
+    /// shards locked (index order), decayed to the current epoch and
+    /// sealed, then their sorted runs k-way merged.
     ///
-    /// Serial on purpose. Caller partitioning makes the shards' edge
-    /// sets disjoint, so a thread fan-out could only split the same
-    /// copies across workers and then copy every edge again in a final
-    /// merge of the partial results; measured at 4 shards on a 2-core
-    /// host, that fan-out was slower than this one pass (DESIGN §9.2).
-    fn rebuild_merged(&self) -> DynamicCallGraph {
+    /// Caller partitioning makes the runs disjoint, so the merge only
+    /// interleaves: no edge is looked up, hashed or summed, and the
+    /// result is `merge_all`'s iteration order (non-positive weights
+    /// dropped as `merge_all` drops them). A heap of run heads picks the
+    /// next run, which then copies every edge below the next head in
+    /// one go — at least a whole caller's edges. Serial on purpose: a
+    /// thread fan-out of the older hash merge measured slower at 4
+    /// shards on a 2-core host (DESIGN §9.2).
+    fn rebuild_merged(&self) -> Vec<(CallEdge, f64)> {
         let epoch = self.epoch.load(Ordering::Acquire);
         let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
@@ -402,10 +419,31 @@ impl ShardedAggregator {
             guard.graph.seal();
             guards.push(guard);
         }
-        DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
+        let len = guards.iter().map(|g| g.graph.num_edges()).sum();
+        let mut out: Vec<(CallEdge, f64)> = Vec::with_capacity(len);
+        let mut runs: Vec<_> = guards.iter().map(|g| g.graph.iter().peekable()).collect();
+        let mut heads: BinaryHeap<Reverse<(CallEdge, usize)>> = runs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, run)| run.peek().map(|(e, _)| Reverse((**e, i))))
+            .collect();
+        while let Some(Reverse((_, i))) = heads.pop() {
+            let bound = heads.peek().map(|Reverse((e, _))| *e);
+            let run = &mut runs[i];
+            while let Some((e, w)) = run.next_if(|(e, _)| bound.is_none_or(|b| **e < b)) {
+                if w > 0.0 {
+                    out.push((*e, w));
+                }
+            }
+            if let Some((e, _)) = run.peek() {
+                debug_assert!(bound != Some(**e), "shards must be caller-disjoint");
+                heads.push(Reverse((**e, i)));
+            }
+        }
+        out
     }
 
-    /// The cached `(graph, encoded)` pair for the current generation,
+    /// The cached merged snapshot for the current generation,
     /// rebuilding on a cold or stale cache.
     ///
     /// The generation stamp is read under the cache lock *before* the
@@ -415,40 +453,57 @@ impl ShardedAggregator {
     /// cache hit is always at least as fresh as the generation it
     /// matched. Holding the cache lock across the rebuild also
     /// serializes concurrent pullers onto one rebuild instead of N.
-    fn cached_snapshot(&self) -> (Arc<DynamicCallGraph>, Arc<Vec<u8>>) {
+    fn cached_snapshot(&self) -> Arc<MergedSnapshot> {
         let m = ProfiledMetrics::get();
         let mut cache = self.cache.lock().expect("snapshot cache lock");
         let generation = self.generation.load(Ordering::Acquire);
         if let Some(c) = cache.as_ref() {
             if c.generation == generation {
                 m.agg_cache_hits.inc();
-                return (Arc::clone(&c.graph), Arc::clone(&c.encoded));
+                return Arc::clone(&c.snapshot);
             }
             m.agg_cache_invalidations.inc();
         }
         m.agg_cache_misses.inc();
-        let graph = Arc::new(self.rebuild_merged());
-        let encoded = Arc::new(DcgCodec::encode_snapshot(&graph));
+        let started = Instant::now();
+        let records = self.rebuild_merged();
+        // `Sum<f64>` starts from `-0.0`; `+ 0.0` makes an empty total
+        // `+0.0`, exactly as `merge_all`'s re-sum does.
+        let total = records.iter().map(|r| r.1).sum::<f64>() + 0.0;
+        let encoded = Arc::new(DcgCodec::encode_sorted_snapshot(&records));
+        m.agg_rebuild_us.observe(elapsed_us(started));
+        let snapshot = Arc::new(MergedSnapshot {
+            records,
+            total,
+            encoded,
+            graph: OnceLock::new(),
+        });
         *cache = Some(SnapshotCache {
             generation,
-            graph: Arc::clone(&graph),
-            encoded: Arc::clone(&encoded),
+            snapshot: Arc::clone(&snapshot),
         });
-        (graph, encoded)
+        snapshot
     }
 
     /// A consistent fleet-wide snapshot, served from the
     /// generation-stamped cache (rebuilt only after ingest or an epoch
     /// advance). The returned graph is bit-identical to locking all
-    /// shards and merging them in shard order.
+    /// shards and merging them in shard order with
+    /// [`DynamicCallGraph::merge_all`].
     pub fn merged_snapshot(&self) -> DynamicCallGraph {
         self.merged_snapshot_shared().as_ref().clone()
     }
 
     /// [`merged_snapshot`](Self::merged_snapshot) without the copy:
-    /// hands out the cache's shared graph.
+    /// hands out the cache's shared graph, built from the cached
+    /// records on the first call per generation.
     pub fn merged_snapshot_shared(&self) -> Arc<DynamicCallGraph> {
-        self.cached_snapshot().0
+        let snapshot = self.cached_snapshot();
+        Arc::clone(
+            snapshot
+                .graph
+                .get_or_init(|| Arc::new(DynamicCallGraph::from_sorted(&snapshot.records))),
+        )
     }
 
     /// The canonical [`DcgCodec::encode_snapshot`] bytes of the merged
@@ -456,13 +511,14 @@ impl ShardedAggregator {
     /// fast path: repeated pulls of an unchanged aggregate are O(1),
     /// re-serving the same encoded buffer.
     pub fn encoded_snapshot(&self) -> Arc<Vec<u8>> {
-        self.cached_snapshot().1
+        Arc::clone(&self.cached_snapshot().encoded)
     }
 
     /// The canonical [`DcgCodec::encode_plan`] bytes of the fleet
     /// inlining plan — [`cbs_inliner::build_plan`] with the paper's
     /// [`NewLinearPolicy`](cbs_inliner::NewLinearPolicy) run against the
-    /// merged snapshot, stamped with the snapshot generation.
+    /// merged snapshot, stamped with the snapshot generation. It is
+    /// built straight from the cached sorted records.
     ///
     /// Cached under the same generation discipline as
     /// [`encoded_snapshot`](Self::encoded_snapshot): an unchanged
@@ -480,12 +536,18 @@ impl ShardedAggregator {
             m.plan_cache_invalidations.inc();
         }
         m.plan_cache_misses.inc();
-        let graph = self.merged_snapshot_shared();
-        let plan =
-            cbs_inliner::build_plan(&graph, &cbs_inliner::NewLinearPolicy::default(), generation);
+        let snapshot = self.cached_snapshot();
+        let started = Instant::now();
+        let plan = cbs_inliner::build_plan_from_sorted(
+            &snapshot.records,
+            snapshot.total,
+            &cbs_inliner::NewLinearPolicy::default(),
+            generation,
+        );
+        let encoded = Arc::new(DcgCodec::encode_plan(&plan));
+        m.plan_build_us.observe(elapsed_us(started));
         m.plan_builds.inc();
         m.plan_decisions.add(plan.entries.len() as u64);
-        let encoded = Arc::new(DcgCodec::encode_plan(&plan));
         *cache = Some(PlanCache {
             generation,
             encoded: Arc::clone(&encoded),
@@ -571,6 +633,82 @@ mod tests {
             assert_eq!(agg.stats().frames, 3);
             assert_eq!(agg.stats().records, 6005);
             assert_eq!(agg.stats().total_edges(), merged.num_edges());
+        }
+    }
+
+    /// `merge_all` of the sealed shards, brought current under their
+    /// locks — the hash-indexed merge the run merge replaced.
+    fn merge_all_of_shards(agg: &ShardedAggregator) -> DynamicCallGraph {
+        let epoch = agg.epoch();
+        let guards: Vec<MutexGuard<'_, Shard>> = (0..agg.num_shards())
+            .map(|i| {
+                let mut g = agg.shards[i].lock().unwrap();
+                ShardedAggregator::catch_up(&mut g, epoch, agg.decay_factor, agg.min_weight);
+                g.graph.seal();
+                g
+            })
+            .collect();
+        DynamicCallGraph::merge_all(guards.iter().map(|g| &g.graph))
+    }
+
+    /// The cached snapshot, its graph form and the plan built from its
+    /// records must equal what `merge_all` of the sealed shards gives,
+    /// to the byte and to the total's last bit, through decay with
+    /// pruning and epoch advances at every shard count.
+    #[test]
+    fn run_merge_equals_merge_all_of_sealed_shards() {
+        use cbs_prng::prop::run_cases;
+        let policy = cbs_inliner::NewLinearPolicy::default();
+        for shards in [1, 2, 4, 8] {
+            run_cases(&format!("run_merge_oracle_{shards}"), 12, |rng| {
+                let agg = ShardedAggregator::new(AggregatorConfig {
+                    shards,
+                    decay_factor: 0.8,
+                    min_weight: 0.5,
+                });
+                for step in 0..rng.gen_range(1..24u32) {
+                    if step > 0 && rng.gen_bool(0.3) {
+                        agg.advance_epoch();
+                    } else {
+                        let records: Vec<(CallEdge, f64)> = (0..rng.gen_range(0..120u32))
+                            .map(|_| {
+                                let edge = e(
+                                    rng.gen_range(0..64u32),
+                                    rng.gen_range(0..4u32),
+                                    rng.gen_range(0..5u32),
+                                );
+                                let w = if rng.gen_bool(0.5) {
+                                    f64::from(rng.gen_range(1..9u32))
+                                } else {
+                                    0.3 + rng.gen_f64() * 4.0
+                                };
+                                (edge, w)
+                            })
+                            .collect();
+                        fold_delta(&agg, &records);
+                    }
+                    if rng.gen_bool(0.5) {
+                        continue; // let debt build up across steps
+                    }
+                    let oracle = merge_all_of_shards(&agg);
+                    let encoded = agg.encoded_snapshot();
+                    assert_eq!(*encoded, DcgCodec::encode_snapshot(&oracle));
+                    let merged = agg.merged_snapshot();
+                    assert_eq!(merged, oracle);
+                    assert_eq!(
+                        merged.total_weight().to_bits(),
+                        oracle.total_weight().to_bits()
+                    );
+                    let decoded = DcgCodec::decode_snapshot(&encoded).unwrap();
+                    assert_eq!(merged, decoded);
+                    assert_eq!(
+                        merged.total_weight().to_bits(),
+                        decoded.total_weight().to_bits()
+                    );
+                    let plan = cbs_inliner::build_plan(&oracle, &policy, agg.generation());
+                    assert_eq!(*agg.encoded_plan(), DcgCodec::encode_plan(&plan));
+                }
+            });
         }
     }
 

@@ -122,13 +122,10 @@ impl DcgFrame {
     /// Rebuilds a [`DynamicCallGraph`] from this frame's records.
     ///
     /// For a snapshot this *is* the producer's graph; for a delta it is
-    /// just the increments.
+    /// just the increments. The decoder admits only strictly ascending
+    /// keys, so the records are a sorted run.
     pub fn to_graph(&self) -> DynamicCallGraph {
-        let mut g = DynamicCallGraph::new();
-        for &(e, w) in &self.edges {
-            g.record(e, w);
-        }
-        g
+        DynamicCallGraph::from_sorted(&self.edges)
     }
 }
 
@@ -408,6 +405,13 @@ impl DcgCodec {
             graph.iter().map(|(e, w)| (*e, w)),
             graph.num_edges(),
         )
+    }
+
+    /// [`encode_snapshot`](Self::encode_snapshot) of the graph whose
+    /// ascending-edge iteration is `records` — the aggregator's merged
+    /// runs, encoded without building a graph first.
+    pub(crate) fn encode_sorted_snapshot(records: &[(CallEdge, f64)]) -> Vec<u8> {
+        Self::encode_records(FrameKind::Snapshot, records.iter().copied(), records.len())
     }
 
     /// Encodes weight increments (e.g. from

@@ -7,14 +7,20 @@
 //!
 //! Naming convention: `profiled.<subsystem>.<metric>`. Counters and
 //! size histograms are deterministic for a deterministic workload
-//! (event sums commute across threads); only the handler-latency
-//! histogram is wall-clock-dependent and tagged
-//! [`Stability::Wallclock`].
+//! (event sums commute across threads); only the handler-latency,
+//! snapshot-rebuild and plan-build histograms are wall-clock-dependent
+//! and tagged [`Stability::Wallclock`].
 
 use cbs_telemetry::{
     global, Counter, Gauge, Histogram, Stability, LATENCY_BUCKETS_US, SIZE_BUCKETS,
 };
 use std::sync::OnceLock;
+use std::time::Instant;
+
+/// Whole microseconds since `started`, for the wall-clock histograms.
+pub(crate) fn elapsed_us(started: Instant) -> u64 {
+    started.elapsed().as_micros().try_into().unwrap_or(u64::MAX)
+}
 
 /// The profile-service metric handles (see the module docs for the
 /// naming scheme). Obtain via [`ProfiledMetrics::get`].
@@ -82,6 +88,9 @@ pub struct ProfiledMetrics {
     /// snapshot whose generation stamp had been outrun by ingest or an
     /// epoch advance.
     pub agg_cache_invalidations: Counter,
+    /// Snapshot rebuild time on a cache miss (seal, merge and encode),
+    /// microseconds (wall-clock).
+    pub agg_rebuild_us: Histogram,
     /// Scrape-time gauge: current decay epoch.
     pub agg_epoch: Gauge,
     /// Scrape-time gauge: total live edges across shards.
@@ -100,6 +109,9 @@ pub struct ProfiledMetrics {
     pub plan_builds: Counter,
     /// Per-site decisions emitted across all plan builds.
     pub plan_decisions: Counter,
+    /// Plan build time on a cache miss (build and encode, from the
+    /// cached snapshot), microseconds (wall-clock).
+    pub plan_build_us: Histogram,
 
     // -- resilient client ---------------------------------------------
     /// Exchanges retried after a fault.
@@ -215,6 +227,12 @@ impl ProfiledMetrics {
                     "profiled.agg.cache_invalidations",
                     "cached snapshots found stale at rebuild time",
                 ),
+                agg_rebuild_us: r.histogram(
+                    "profiled.agg.rebuild_us",
+                    "snapshot seal + merge + encode on a cache miss (µs)",
+                    LATENCY_BUCKETS_US,
+                    Stability::Wallclock,
+                ),
                 plan_cache_hits: r.counter(
                     "profiled.plan.cache_hits",
                     "encoded plans served from the generation-stamped cache",
@@ -234,6 +252,12 @@ impl ProfiledMetrics {
                 plan_decisions: r.counter(
                     "profiled.plan.decisions",
                     "per-site decisions emitted across plan builds",
+                ),
+                plan_build_us: r.histogram(
+                    "profiled.plan.build_us",
+                    "plan build + encode on a cache miss (µs)",
+                    LATENCY_BUCKETS_US,
+                    Stability::Wallclock,
                 ),
                 agg_epoch: r.gauge("profiled.agg.epoch", "current decay epoch (scrape-time)"),
                 agg_edges: r.gauge(

@@ -29,7 +29,7 @@
 use crate::aggregator::{IngestScratch, ShardedAggregator};
 use crate::dedup::DedupTable;
 use crate::journal::{JournalError, MemJournal, ProfileJournal, SeqIngest};
-use crate::metrics::ProfiledMetrics;
+use crate::metrics::{elapsed_us, ProfiledMetrics};
 use crate::wire::{
     frame_msg, read_msg_into, write_msg, NetConfig, CHUNK_REPLY_OVERHEAD, OP_EPOCH, OP_METRICS,
     OP_PLAN, OP_PULL_CHUNK, OP_PUSH, OP_PUSH_SEQ, OP_STATS, ST_ERR, ST_OK,
@@ -559,8 +559,7 @@ fn serve_connection(
                 }
             }
         }
-        m.server_handler_latency_us
-            .observe(started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
+        m.server_handler_latency_us.observe(elapsed_us(started));
     }
 }
 

@@ -52,7 +52,7 @@ for key in records frames wire_bytes; do
 done
 for cfg in codec/encode codec/decode \
            aggregate/shards=4/streaming aggregate/shards=8/streaming \
-           pull/rebuild pull/cached wal/append wal/append_concurrent \
+           pull/rebuild plan/rebuild pull/cached wal/append wal/append_concurrent \
            wal/append_single_lock recovery/replay; do
   grep -q "\"config\": \"$cfg\"" "$BENCH_JSON" \
     || { echo "FAIL: $BENCH_JSON missing config \"$cfg\"" >&2; exit 1; }
